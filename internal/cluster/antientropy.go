@@ -19,9 +19,9 @@ import (
 // buckets keyed by ring position, see internal/merkle); a sync pass
 // walks every live node pair down the mismatched subtrees with TREE
 // requests, lists only the divergent buckets' keys with SCAN, and
-// repairs each differing key with a version-conditional SETV of the
-// newer side's bytes. Matching subtrees are never descended into and
-// values only move for keys that actually differ, so the traffic
+// repairs the differing keys with version-conditional MSETV batches of
+// the newer side's bytes. Matching subtrees are never descended into
+// and values only move for keys that actually differ, so the traffic
 // scales with the divergence, not the keyspace.
 
 // readRepair is the quorum read's background write-back: the winning
@@ -209,8 +209,8 @@ func batchSpansByWidth(spans []wire.Span, budget int) [][]wire.Span {
 // and repairs every key that differs. The scans return (key, entry
 // hash) pairs sorted by key, so a single merge-join classifies each
 // key as missing on one side or present on both with different bytes;
-// values are then fetched only for those keys and the newer version is
-// pushed to the other side.
+// values are then fetched only for those keys, and the newer versions
+// are pushed to each side in one MSETV batch per side.
 func (c *Cluster) repairSpans(ctx context.Context, a, b *node, spans []wire.Span) (int, error) {
 	ea, err := a.client().ScanCtx(ctx, spans)
 	if err != nil {
@@ -252,55 +252,50 @@ func (c *Cluster) repairSpans(ctx context.Context, a, b *node, spans []wire.Span
 		return 0, err
 	}
 
-	repaired := 0
+	// Collect each key's winning bytes for the side that lacks them,
+	// then push each side's batch with one MSETV call.
+	var pushA, pushB []sockets.KV
 	for _, k := range toB {
-		if raw, ok := valsA[k]; ok && c.pushRepair(ctx, b, k, raw) {
-			repaired++
+		if raw, ok := valsA[k]; ok {
+			pushB = append(pushB, sockets.KV{Key: k, Value: raw})
 		}
 	}
 	for _, k := range toA {
-		if raw, ok := valsB[k]; ok && c.pushRepair(ctx, a, k, raw) {
-			repaired++
+		if raw, ok := valsB[k]; ok {
+			pushA = append(pushA, sockets.KV{Key: k, Value: raw})
 		}
 	}
 	for _, k := range conflict {
 		ra, okA := valsA[k]
 		rb, okB := valsB[k]
-		switch {
-		case okA && okB:
+		wantA, wantB := okB && !okA, okA && !okB
+		if okA && okB {
 			va, _, _, errA := version.Decode(ra)
 			vb, _, _, errB := version.Decode(rb)
 			switch {
 			case errA != nil && errB != nil:
 				// Neither side decodes: nothing trustworthy to copy.
 			case errA != nil:
-				if c.pushRepair(ctx, a, k, rb) {
-					repaired++
-				}
+				wantA = true
 			case errB != nil:
-				if c.pushRepair(ctx, b, k, ra) {
-					repaired++
-				}
-			case version.Newer(va, vb):
-				if c.pushRepair(ctx, b, k, ra) {
-					repaired++
-				}
-			case version.Newer(vb, va):
-				if c.pushRepair(ctx, a, k, rb) {
-					repaired++
-				}
-			}
-		case okA:
-			if c.pushRepair(ctx, b, k, ra) {
-				repaired++
-			}
-		case okB:
-			if c.pushRepair(ctx, a, k, rb) {
-				repaired++
+				wantB = true
+			default:
+				wantA, wantB = version.Newer(vb, va), version.Newer(va, vb)
 			}
 		}
+		if wantA {
+			pushA = append(pushA, sockets.KV{Key: k, Value: rb})
+		}
+		if wantB {
+			pushB = append(pushB, sockets.KV{Key: k, Value: ra})
+		}
 	}
-	return repaired, nil
+	repaired, err := c.pushRepairs(ctx, b, pushB)
+	if err != nil {
+		return repaired, err
+	}
+	n, err := c.pushRepairs(ctx, a, pushA)
+	return repaired + n, err
 }
 
 // fetchRawChunk bounds one bulk read: both the request (keys) and the
@@ -332,22 +327,36 @@ func (c *Cluster) fetchRaw(ctx context.Context, n *node, keys []string) (map[str
 	return out, nil
 }
 
-// pushRepair version-conditionally writes one key's bytes to dst,
-// counting it only if dst is actually a replica of the key under the
-// current placement (a node can legitimately hold keys it no longer
-// replicates — vacated copies awaiting cleanup — and those must not be
-// spread further) and the write applied.
-func (c *Cluster) pushRepair(ctx context.Context, dst *node, key, raw string) bool {
-	if strings.HasPrefix(key, hintMark) || !c.replicaFor(key, dst.name) {
-		return false
+// pushRepairs version-conditionally writes a batch of keys' bytes to
+// dst with MSETV and returns how many applied. Only keys dst actually
+// replicates under the current placement are sent (a node can
+// legitimately hold keys it no longer replicates — vacated copies
+// awaiting cleanup — and those must not be spread further), and hints
+// never are. A failed push is the pass's error, never a quiet pass: the
+// next pass retries what did not land.
+func (c *Cluster) pushRepairs(ctx context.Context, dst *node, pairs []sockets.KV) (int, error) {
+	c.topoMu.RLock()
+	keep := pairs[:0]
+	for _, kv := range pairs {
+		if !strings.HasPrefix(kv.Key, hintMark) && c.replicaForLocked(kv.Key, dst.name) {
+			keep = append(keep, kv)
+		}
 	}
-	code, err := dst.client().SetVCtx(ctx, key, raw)
-	if err != nil || !sockets.SetVAppliedCode(code) {
-		return false
+	c.topoMu.RUnlock()
+	if len(keep) == 0 {
+		return 0, nil
 	}
-	c.aeKeysRepaired.Add(1)
-	c.aeBytesMoved.Add(int64(len(key) + len(raw)))
-	return true
+	codes, err := dst.client().MSetVCtx(ctx, keep)
+	repaired, moved := 0, 0
+	for i, code := range codes {
+		if sockets.SetVAppliedCode(code) {
+			repaired++
+			moved += len(keep[i].Key) + len(keep[i].Value)
+		}
+	}
+	c.aeKeysRepaired.Add(int64(repaired))
+	c.aeBytesMoved.Add(int64(moved))
+	return repaired, err
 }
 
 // replicaFor reports whether the named node is one of key's replicas
@@ -356,6 +365,11 @@ func (c *Cluster) pushRepair(ctx context.Context, dst *node, key, raw string) bo
 func (c *Cluster) replicaFor(key, name string) bool {
 	c.topoMu.RLock()
 	defer c.topoMu.RUnlock()
+	return c.replicaForLocked(key, name)
+}
+
+// replicaForLocked is replicaFor for a caller that holds topoMu.
+func (c *Cluster) replicaForLocked(key, name string) bool {
 	ring := c.ring
 	if c.prevRing != nil {
 		ring = c.prevRing

@@ -3,9 +3,12 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/sockets"
 	"repro/internal/version"
 )
 
@@ -205,5 +208,121 @@ func TestReadRepair_RewritesStaleReplica(t *testing.T) {
 			t.Fatalf("read repair never restored the stale copy (ok=%v repairs=%d)", ok, c.ReadRepairs())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestAntiEntropy_MSetVRebuildBatchesPushes: rebuilding a wiped
+// memory-only node pushes its keys in MSETV batches — one request per
+// divergent span batch of 64 buckets, never one SETV per key.
+func TestAntiEntropy_MSetVRebuildBatchesPushes(t *testing.T) {
+	c, err := New(Config{
+		Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1,
+		DisableHints: true, Proto: sockets.ProtoBinary, DrainTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const keys = 3000
+	for i := 0; i < keys; i++ {
+		if err := c.Put(fmt.Sprintf("key-%d", i), fmt.Sprintf("val-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Kill("node1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart("node1"); err != nil {
+		t.Fatal(err)
+	}
+	syncUntilQuiet(t, c, 5)
+
+	victim, _ := c.lookup("node1")
+	if got, err := victim.client().Count(); err != nil || got != keys {
+		t.Fatalf("rebuilt node holds %d keys (err %v), want %d", got, err, keys)
+	}
+	pushes := victim.server().VerbLatency("SETV").Count() + victim.server().VerbLatency("MSETV").Count()
+	if limit := int64((keys+63)/64 + 4); pushes > limit {
+		t.Errorf("rebuilding %d keys took %d SETV-family requests, want at most %d", keys, pushes, limit)
+	}
+}
+
+// TestAntiEntropy_MSetVFailedPushIsAnError: a pass whose repair push
+// fails must report the failure, not look like a quiet (0, nil) pass —
+// the convergence gates read a quiet pass as proof that the replicas
+// match. The next pass, once the node is back, finishes the repair.
+func TestAntiEntropy_MSetVFailedPushIsAnError(t *testing.T) {
+	var c *Cluster
+	var armed atomic.Bool
+	c, err := New(Config{
+		Nodes: 2, Replicas: 2, WriteQuorum: 2, ReadQuorum: 1,
+		DisableHints: true, Proto: sockets.ProtoBinary, DrainTimeout: 50 * time.Millisecond,
+		PoolPreAttempt: func(name string) func(string, int) {
+			return func(req string, _ int) {
+				// Kill the destination just as the repair push leaves.
+				if name == "node1" && strings.Contains(req, "SETV") && armed.CompareAndSwap(true, false) {
+					c.Kill("node1") //nolint:errcheck // the test asserts on SyncNow's error
+				}
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	for i := 0; i < 100; i++ {
+		if err := c.Put(fmt.Sprintf("key-%d", i), fmt.Sprintf("val-%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim, _ := c.lookup("node1")
+	if _, err := victim.client().MDelCtx(context.Background(), "key-1", "key-2", "key-3"); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	n, err := c.SyncNow(context.Background())
+	if err == nil {
+		t.Fatalf("SyncNow = (%d, nil) with the repair destination killed mid-push, want an error", n)
+	}
+	if armed.Load() {
+		t.Fatal("the repair push never reached the destination")
+	}
+
+	if err := c.Restart("node1"); err != nil {
+		t.Fatal(err)
+	}
+	syncUntilQuiet(t, c, 5)
+	victim, _ = c.lookup("node1")
+	if got, err := victim.client().Count(); err != nil || got != 100 {
+		t.Fatalf("node1 holds %d keys after the retried repair (err %v), want 100", got, err)
+	}
+}
+
+// TestRestart_HintsDisabledSkipsKeysSweep: with hints off nothing can
+// be parked, so bringing a node back — a Restart after it was marked
+// down — sends no KEYS sweep to any holder.
+func TestRestart_HintsDisabledSkipsKeysSweep(t *testing.T) {
+	c, err := New(Config{Nodes: 3, Replicas: 3, WriteQuorum: 2, ReadQuorum: 2, DisableHints: true, DrainTimeout: 50 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 20; i++ {
+		if err := c.Put(fmt.Sprintf("key-%d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Kill("node2"); err != nil {
+		t.Fatal(err)
+	}
+	c.Probe() // marked down, so the Restart is a down→up transition too
+	if err := c.Restart("node2"); err != nil {
+		t.Fatal(err)
+	}
+	c.Probe()
+	if n := verbServed(c, "KEYS"); n != 0 {
+		t.Fatalf("a Restart with hints disabled sent %d KEYS requests, want 0", n)
 	}
 }

@@ -46,9 +46,10 @@ func (c *Cluster) HintsExpired() int64 { return c.hintsExpired.Load() }
 // (it only runs when a destination comes back) would never visit.
 // Dropping an expired hint abandons that hint's contribution to a past
 // sloppy quorum; the TTL is the explicit bound on how long the cluster
-// keeps paying memory for that promise.
+// keeps paying memory for that promise. With hints disabled there is
+// nothing parked to sweep.
 func (c *Cluster) sweepExpiredHints() {
-	if c.cfg.HintTTL <= 0 {
+	if c.cfg.HintTTL <= 0 || c.cfg.DisableHints {
 		return
 	}
 	ctx := c.ctx

@@ -129,7 +129,12 @@ func probeAddr(ctx context.Context, addr string, timeout time.Duration) error {
 // dest, applies every hint that is newer than what dest holds, and
 // deletes the consumed hints. Returns how many hints were applied. The
 // sweep aborts between (and inside) per-node scans once ctx is done.
+// With hints disabled no code path parks a hint, so there is nothing to
+// sweep for and no holder is asked for its keys.
 func (c *Cluster) replayHints(ctx context.Context, dest *node) int {
+	if c.cfg.DisableHints {
+		return 0
+	}
 	prefix := hintMark + dest.name + "~"
 	c.topoMu.RLock()
 	holders := make([]*node, 0, len(c.order))

@@ -24,7 +24,7 @@ const textOverload = "OVERLOAD"
 // serverVerbs are the per-verb latency histogram keys — the text
 // protocol's command words, which the binary protocol's verbs also map
 // onto (wire.VerbName).
-var serverVerbs = []string{"PING", "SET", "GET", "DEL", "MDEL", "COUNT", "KEYS", "MGET", "MPUT", "SETV", "TREE", "SCAN", "SYNCWAL"}
+var serverVerbs = []string{"PING", "SET", "GET", "DEL", "MDEL", "COUNT", "KEYS", "MGET", "MPUT", "SETV", "MSETV", "TREE", "SCAN", "SYNCWAL"}
 
 // Verbs returns the fixed set of per-verb latency keys, in display
 // order.

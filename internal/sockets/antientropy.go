@@ -9,6 +9,7 @@ import (
 	"repro/internal/merkle"
 	"repro/internal/sockets/wire"
 	"repro/internal/version"
+	"repro/internal/wal"
 )
 
 // SETV outcome codes, carried in the RespCount body (text: "SETV <n>").
@@ -61,6 +62,77 @@ func setvOutcome(cur string, curOK bool, in version.Version) (apply bool, code u
 		return false, SetVStaleConcurrent
 	}
 	return false, SetVStale
+}
+
+// setvWrite is one validated version-conditional write.
+type setvWrite struct {
+	key, value string
+	in         version.Version
+}
+
+// newSetVWrite validates one SETV pair: a well-formed key and a value
+// carrying a version stamp. An unstamped payload can neither be
+// compared nor later compete against stamped values.
+func newSetVWrite(key, value string) (setvWrite, error) {
+	if err := validateKey(key); err != nil {
+		return setvWrite{}, err
+	}
+	in, _, _, err := version.Decode(value)
+	if err != nil {
+		return setvWrite{}, fmt.Errorf("setv: %w", err)
+	}
+	return setvWrite{key: key, value: value, in: in}, nil
+}
+
+// applySetV serves SETV (a batch of one) and MSETV. Every pair is
+// validated before any is applied: one bad key or unstamped value
+// rejects the whole batch, exactly as it rejects a lone SETV.
+func (s *Server) applySetV(pairs []wire.KV) ([]uint64, error) {
+	ws := make([]setvWrite, len(pairs))
+	for i, kv := range pairs {
+		w, err := newSetVWrite(kv.Key, string(kv.Value))
+		if err != nil {
+			return nil, err
+		}
+		ws[i] = w
+	}
+	return s.setVBatch(ws)
+}
+
+// setVBatch is the server's one version-conditional write path, shared
+// by SETV, MSETV and SYNCWAL apply; it returns one SetV* code per
+// write. Each write takes its key's shard lock, compares versions, and
+// when the incoming one wins stores the bytes, folds them into the
+// digest and reserves its WAL position before unlocking, so log order
+// equals apply order for every key. Winners are logged as plain sets:
+// replay just restores the bytes and needs no version logic, and a
+// rejected write never dirties the log. All tickets are reserved
+// before any is waited on, so a batch shares group-commit fsyncs
+// instead of paying one per key.
+func (s *Server) setVBatch(ws []setvWrite) ([]uint64, error) {
+	codes := make([]uint64, len(ws))
+	var ticks []*wal.Ticket
+	for i, w := range ws {
+		sh := s.shardFor(w.key)
+		sh.lock.Lock()
+		cur, had := sh.store[w.key]
+		apply, code := setvOutcome(cur, had, w.in)
+		if apply {
+			sh.store[w.key] = w.value
+			s.digestApply(w.key, cur, w.value, had, true)
+			if s.wal != nil {
+				ticks = append(ticks, s.wal.Begin(&wal.Record{Kind: wal.KindSet, Key: w.key, Value: w.value}))
+			}
+		}
+		sh.lock.Unlock()
+		codes[i] = code
+	}
+	for _, t := range ticks {
+		if err := s.walWait(t); err != nil {
+			return nil, fmt.Errorf("durability: %w", err)
+		}
+	}
+	return codes, nil
 }
 
 // digestApply folds one store mutation into the anti-entropy digest.
@@ -199,12 +271,27 @@ func (s *Server) applyTree(r *wire.Request) *wire.Response {
 // applyScan answers SCAN: every stored (key, entry hash) whose Merkle
 // bucket falls inside any requested span, sorted by key. Values never
 // leave the node here — the driver compares entry hashes and fetches
-// only the keys that actually differ. Shards are read-locked one at a
-// time (point-in-time per stripe, like COUNT); anti-entropy tolerates
-// the skew — a transiently wrong hash just re-scans next round.
+// only the keys that actually differ. Stripes own contiguous bucket
+// ranges (shardIndex), so only the stripes overlapping a span are
+// walked. They are read-locked one at a time (point-in-time per stripe,
+// like COUNT); anti-entropy tolerates the skew — a transiently wrong
+// hash just re-scans next round.
 func (s *Server) applyScan(r *wire.Request) *wire.Response {
 	resp := &wire.Response{Tag: wire.RespScan, ID: r.ID}
+	walk := make([]bool, len(s.shards))
+	for _, sp := range r.Spans {
+		lo, hi := clampSpan(sp)
+		if lo == hi {
+			continue
+		}
+		for i := stripeOf(lo, len(s.shards)); i <= stripeOf(hi-1, len(s.shards)); i++ {
+			walk[i] = true
+		}
+	}
 	for i := range s.shards {
+		if !walk[i] {
+			continue
+		}
 		sh := &s.shards[i]
 		sh.lock.RLock()
 		for k, v := range sh.store {

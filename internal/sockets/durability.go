@@ -186,13 +186,6 @@ func requestRecord(client uint64, r *wire.Request) *wal.Record {
 	case wire.VerbSet:
 		rec.Kind = wal.KindSet
 		rec.Value = string(r.Value)
-	case wire.VerbSetV:
-		// An applied SETV logs as a plain set: the version compare already
-		// ran (only winners are logged), so replay just restores the bytes
-		// — the store ends byte-identical without any version logic in the
-		// replay path.
-		rec.Kind = wal.KindSet
-		rec.Value = string(r.Value)
 	case wire.VerbDel:
 		rec.Kind = wal.KindDel
 	case wire.VerbMDel:

@@ -491,6 +491,21 @@ func (p *Pool) binSetV(ctx context.Context, key, value string) (uint64, error) {
 	return resp.N, nil
 }
 
+func (p *Pool) binMSetV(ctx context.Context, pairs []wire.KV) ([]uint64, error) {
+	codes := make([]uint64, 0, len(pairs))
+	for _, chunk := range chunkPairs(pairs) {
+		resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbMSetV, Pairs: chunk})
+		if err != nil {
+			return codes, err
+		}
+		if resp.Tag != wire.RespCodes || len(resp.Codes) != len(chunk) {
+			return codes, binErr(resp)
+		}
+		codes = append(codes, resp.Codes...)
+	}
+	return codes, nil
+}
+
 func (p *Pool) binTree(ctx context.Context, spans []wire.Span) ([]uint64, error) {
 	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbTree, Spans: spans})
 	if err != nil {
@@ -529,8 +544,8 @@ func chunkKeys(keys []string) [][]string {
 	return out
 }
 
-// chunkPairs splits an MPUT batch by payload bytes, keys and values
-// both counted.
+// chunkPairs splits an MPUT or MSETV batch by payload bytes, keys and
+// values both counted.
 func chunkPairs(pairs []wire.KV) [][]wire.KV {
 	var out [][]wire.KV
 	for len(pairs) > 0 {

@@ -578,6 +578,37 @@ func (p *Pool) SetVCtx(ctx context.Context, key, value string) (uint64, error) {
 	return doSetV(p.rt(ctx), key, value)
 }
 
+// MSetVCtx is SetVCtx for a batch: it returns one SetV* outcome code
+// per pair, in order. On the binary protocol the batch rides one MSETV
+// PDU per byte-bounded chunk, and the server shares group-commit fsyncs
+// across a chunk; on the text protocol it degrades to sequential SETVs.
+// A failure returns the codes of the pairs that completed before it
+// alongside the error; retrying the rest is safe, since SETV is
+// idempotent.
+func (p *Pool) MSetVCtx(ctx context.Context, pairs []KV) ([]uint64, error) {
+	for _, kv := range pairs {
+		if err := validateKey(kv.Key); err != nil {
+			return nil, err
+		}
+	}
+	if p.binary() {
+		wkv := make([]wire.KV, len(pairs))
+		for i, kv := range pairs {
+			wkv[i] = wire.KV{Key: kv.Key, Value: []byte(kv.Value)}
+		}
+		return p.binMSetV(ctx, wkv)
+	}
+	codes := make([]uint64, 0, len(pairs))
+	for _, kv := range pairs {
+		code, err := doSetV(p.rt(ctx), kv.Key, kv.Value)
+		if err != nil {
+			return codes, err
+		}
+		codes = append(codes, code)
+	}
+	return codes, nil
+}
+
 // TreeCtx fetches the node's Merkle range hash for each span — the
 // descent step of an anti-entropy diff walk.
 func (p *Pool) TreeCtx(ctx context.Context, spans []wire.Span) ([]uint64, error) {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/sockets/wire"
-	"repro/internal/version"
 	"repro/internal/wal"
 )
 
@@ -367,11 +366,11 @@ func (s *Server) handleBinary(clientID uint64, r *wire.Request) *wire.Response {
 	case wire.VerbPing, wire.VerbGet, wire.VerbCount, wire.VerbKeys, wire.VerbMGet,
 		wire.VerbTree, wire.VerbScan:
 		return s.applyBinary(r) // reads: idempotent, no dedupe bookkeeping
-	case wire.VerbSetV:
-		// SETV mutates but skips the dedupe table on purpose: the version
-		// comparison makes it naturally idempotent (a retry of an applied
-		// SETV finds its own stamp stored, compares Equal, and changes
-		// nothing), so exactly-once needs no recording — and its WAL
+	case wire.VerbSetV, wire.VerbMSetV:
+		// SETV and MSETV mutate but skip the dedupe table on purpose: the
+		// version comparison makes them naturally idempotent (a retry of an
+		// applied SETV finds its own stamp stored, compares Equal, and
+		// changes nothing), so exactly-once needs no recording — and a WAL
 		// record is only written when the compare said apply.
 		return s.applyBinary(r)
 	case wire.VerbSyncWAL:
@@ -465,34 +464,6 @@ func (s *Server) applyMutation(client uint64, r *wire.Request, record func(*wire
 		tick := seal(resp)
 		sh.lock.Unlock()
 		return resp, tick
-	case wire.VerbSetV:
-		if err := validateKey(r.Key); err != nil {
-			return errResp(err.Error()), nil
-		}
-		in, _, _, err := version.Decode(string(r.Value))
-		if err != nil {
-			// An unstamped SETV payload can neither be compared nor later
-			// compete against stamped values: reject, apply nothing.
-			return errResp("setv: " + err.Error()), nil
-		}
-		sh := s.shardFor(r.Key)
-		sh.lock.Lock()
-		cur, had := sh.store[r.Key]
-		apply, code := setvOutcome(cur, had, in)
-		resp := &wire.Response{Tag: wire.RespCount, ID: r.ID, N: code}
-		var tick *wal.Ticket
-		if apply {
-			sh.store[r.Key] = string(r.Value)
-			s.digestApply(r.Key, cur, string(r.Value), had, true)
-			// Logged (as a plain set — replay needs no version logic, the
-			// compare already happened) only when something changed: a
-			// rejected SETV must not dirty the log.
-			tick = seal(resp)
-		} else if record != nil {
-			record(resp)
-		}
-		sh.lock.Unlock()
-		return resp, tick
 	case wire.VerbDel:
 		if validateKey(r.Key) != nil {
 			// No valid SET can have stored this key, so it cannot exist —
@@ -579,12 +550,24 @@ func (s *Server) applyBinary(r *wire.Request) *wire.Response {
 	switch r.Verb {
 	case wire.VerbPing:
 		return &wire.Response{Tag: wire.RespOK, ID: r.ID}
-	case wire.VerbSet, wire.VerbDel, wire.VerbMDel, wire.VerbMPut, wire.VerbSetV:
+	case wire.VerbSet, wire.VerbDel, wire.VerbMDel, wire.VerbMPut:
 		resp, tick := s.applyMutation(0, r, nil)
 		if err := s.walWait(tick); err != nil {
 			return errResp("durability: " + err.Error())
 		}
 		return resp
+	case wire.VerbSetV:
+		codes, err := s.applySetV([]wire.KV{{Key: r.Key, Value: r.Value}})
+		if err != nil {
+			return errResp(err.Error())
+		}
+		return &wire.Response{Tag: wire.RespCount, ID: r.ID, N: codes[0]}
+	case wire.VerbMSetV:
+		codes, err := s.applySetV(r.Pairs)
+		if err != nil {
+			return errResp(err.Error())
+		}
+		return &wire.Response{Tag: wire.RespCodes, ID: r.ID, Codes: codes}
 	case wire.VerbTree:
 		return s.applyTree(r)
 	case wire.VerbScan:

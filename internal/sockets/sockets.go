@@ -20,7 +20,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net"
 	"sort"
@@ -295,18 +294,23 @@ func (s *Server) Stats() Stats {
 // response-written).
 func (s *Server) Latency() *metrics.Histogram { return s.latency }
 
-// shardFor maps a key to its stripe with the same FNV-1a hash
-// mapreduce.Partition uses for reduce buckets.
+// shardFor maps a key to its stripe.
 func (s *Server) shardFor(key string) *shard {
 	return &s.shards[s.shardIndex(key)]
 }
 
-// shardIndex is shardFor's stripe index.
-func (s *Server) shardIndex(key string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return h.Sum32() % uint32(len(s.shards))
+// shardIndex is shardFor's stripe index. Stripes own contiguous ranges
+// of Merkle buckets — stripe i holds buckets [i·B/S, (i+1)·B/S) for B
+// buckets and S stripes — so a SCAN of a few bucket spans reads only
+// the stripes that own them instead of walking the whole store. Bucket
+// order is ring order, and ring positions are avalanche-hashed, so keys
+// still spread evenly over the stripes.
+func (s *Server) shardIndex(key string) int {
+	return stripeOf(merkle.BucketOf(key), len(s.shards))
 }
+
+// stripeOf is the stripe that owns Merkle bucket b among n stripes.
+func stripeOf(b, n int) int { return b * n / merkle.Buckets }
 
 // lockShardSet write-locks every stripe the keys hash to — each once,
 // in ascending index order, the global order that keeps concurrent
@@ -586,14 +590,11 @@ func (s *Server) handle(req string) string {
 		if validateTextValue(parts[2]) != nil {
 			return "ERR value must not contain CR or LF (use the binary protocol for opaque bytes)"
 		}
-		resp, tick := s.applyMutation(0, &wire.Request{Verb: wire.VerbSetV, Key: parts[1], Value: []byte(parts[2])}, nil)
-		if resp.Tag == wire.RespErr {
-			return "ERR " + resp.Err
+		codes, err := s.applySetV([]wire.KV{{Key: parts[1], Value: []byte(parts[2])}})
+		if err != nil {
+			return "ERR " + err.Error()
 		}
-		if err := s.walWait(tick); err != nil {
-			return "ERR durability: " + err.Error()
-		}
-		return fmt.Sprintf("SETV %d", resp.N)
+		return fmt.Sprintf("SETV %d", codes[0])
 	case "TREE", "SCAN":
 		spans, err := parseTextSpans(strings.Fields(req)[1:])
 		if err != nil {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/sockets/wire"
-	"repro/internal/version"
 	"repro/internal/wal"
 )
 
@@ -54,36 +53,26 @@ func (s *Server) syncWALDump(r *wire.Request) *wire.Response {
 }
 
 // syncWALApply folds one stream chunk into this node's store. Only
-// version-stamped set payloads are applied — through the same
-// version-conditional compare SETV uses, under the shard locks, with the
-// winners logged to this node's own WAL — so a stale stream record can
-// never clobber a newer local write, and re-applying a chunk (a retry
-// after a lost response) changes nothing. Dedupe recordings ride along
-// via preload. Everything else in the stream (deletes, hint bookkeeping,
-// unstamped values) is skipped: the anti-entropy Merkle pass owns those.
-// All durability tickets are reserved first and waited at the end, so a
-// chunk's records share group-commit fsyncs instead of syncing one by
-// one.
+// version-stamped set payloads are applied — through setVBatch, the
+// same version-conditional path SETV and MSETV use, with the winners
+// logged to this node's own WAL — so a stale stream record can never
+// clobber a newer local write, and re-applying a chunk (a retry after a
+// lost response) changes nothing. Dedupe recordings ride along via
+// preload. Everything else in the stream (deletes, hint bookkeeping,
+// unstamped values) is skipped: the anti-entropy Merkle pass owns
+// those. The chunk's records share group-commit fsyncs, as an MSETV
+// batch's do.
 func (s *Server) syncWALApply(r *wire.Request) *wire.Response {
 	items, err := wal.DecodeStream(r.Value)
 	if err != nil {
 		return &wire.Response{Tag: wire.RespErr, ID: r.ID, Err: "syncwal: " + err.Error()}
 	}
-	applied := uint64(0)
-	var ticks []*wal.Ticket
+	var ws []setvWrite
 	put := func(key, value string) {
-		if validateKey(key) != nil {
-			return
-		}
-		if _, _, _, err := version.Decode(value); err != nil {
-			return // unstamped: not replica data, the Merkle pass decides
-		}
-		resp, tick := s.applyMutation(0, &wire.Request{Verb: wire.VerbSetV, Key: key, Value: []byte(value)}, nil)
-		if tick != nil {
-			ticks = append(ticks, tick)
-		}
-		if resp.Tag == wire.RespCount && SetVAppliedCode(resp.N) {
-			applied++
+		// An invalid key or an unstamped value is not replica data: skip
+		// it and let the Merkle pass decide.
+		if w, err := newSetVWrite(key, value); err == nil {
+			ws = append(ws, w)
 		}
 	}
 	for _, it := range items {
@@ -101,9 +90,14 @@ func (s *Server) syncWALApply(r *wire.Request) *wire.Response {
 			}
 		}
 	}
-	for _, t := range ticks {
-		if err := s.walWait(t); err != nil {
-			return &wire.Response{Tag: wire.RespErr, ID: r.ID, Err: "durability: " + err.Error()}
+	codes, err := s.setVBatch(ws)
+	if err != nil {
+		return &wire.Response{Tag: wire.RespErr, ID: r.ID, Err: err.Error()}
+	}
+	applied := uint64(0)
+	for _, code := range codes {
+		if SetVAppliedCode(code) {
+			applied++
 		}
 	}
 	return &wire.Response{Tag: wire.RespCount, ID: r.ID, N: applied}

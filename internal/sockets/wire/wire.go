@@ -30,6 +30,7 @@
 //	  VerbMDel | VerbMGet:              n:uvarint key:bytes ×n
 //	  VerbMPut:                         n:uvarint (key:bytes value:bytes) ×n
 //	  VerbSetV:                         key:bytes value:bytes
+//	  VerbMSetV:                        n:uvarint (key:bytes value:bytes) ×n
 //	  VerbTree | VerbScan:              n:uvarint (lo:uvarint hi:uvarint) ×n
 //	  VerbSyncWAL:                      mode:1 cursor:uvarint chunk:bytes
 //
@@ -42,6 +43,7 @@
 //	  RespHashes:             n:uvarint hash:8 ×n                  (TREE, one per requested span)
 //	  RespScan:               n:uvarint (key:bytes hash:8) ×n      (SCAN, sorted by key)
 //	  RespSyncWAL:            next:uvarint done:1 chunk:bytes      (SYNCWAL dump)
+//	  RespCodes:              n:uvarint code:uvarint ×n            (MSETV, one SETV outcome per pair, in request order)
 //	  RespErr:                message:bytes
 //
 // Values are opaque bytes — the length prefix lifts the text protocol's
@@ -56,6 +58,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"strconv"
 )
 
 // Magic is the negotiation byte a binary client sends first. It can
@@ -91,6 +94,9 @@ const (
 	// apply-mode request (Mode SyncWALApply) carries a chunk of stream
 	// frames in Value for the node to apply version-conditionally.
 	VerbSyncWAL byte = 0x0D
+	// VerbMSetV is SETV for a batch: MPUT's pair layout, each pair
+	// applied version-conditionally on its own, answered with RespCodes.
+	VerbMSetV byte = 0x0E
 )
 
 // SyncWAL request modes.
@@ -115,7 +121,9 @@ const (
 	// the cursor to pass next (N), and whether the dump is complete
 	// (Done). Apply-mode SYNCWAL answers with RespCount.
 	RespSyncWAL byte = 0x8A
-	RespErr     byte = 0xFF
+	// RespCodes answers MSETV: one SETV outcome code per request pair.
+	RespCodes byte = 0x8B
+	RespErr   byte = 0xFF
 )
 
 // Decode errors, all matchable with errors.Is.
@@ -155,7 +163,7 @@ type Request struct {
 	Key    string
 	Value  []byte
 	Keys   []string // MDel, MGet
-	Pairs  []KV     // MPut
+	Pairs  []KV     // MPut, MSetV
 	Spans  []Span   // Tree, Scan
 	Mode   byte     // SyncWAL: SyncWALDump or SyncWALApply
 	Cursor uint64   // SyncWAL dump position
@@ -174,6 +182,7 @@ type Response struct {
 	Hashes []uint64    // TREE results, one per requested span
 	Scan   []ScanEntry // SCAN results
 	Done   bool        // SYNCWAL dump complete
+	Codes  []uint64    // MSETV outcomes, one per request pair
 	Err    string
 }
 
@@ -208,6 +217,8 @@ func verbName(v byte) string {
 		return "SCAN"
 	case VerbSyncWAL:
 		return "SYNCWAL"
+	case VerbMSetV:
+		return "MSETV"
 	}
 	return fmt.Sprintf("verb(0x%02x)", v)
 }
@@ -249,7 +260,7 @@ func AppendRequest(dst []byte, r *Request) []byte {
 		for _, k := range r.Keys {
 			dst = appendString(dst, k)
 		}
-	case VerbMPut:
+	case VerbMPut, VerbMSetV:
 		dst = binary.AppendUvarint(dst, uint64(len(r.Pairs)))
 		for _, kv := range r.Pairs {
 			dst = appendString(dst, kv.Key)
@@ -299,6 +310,11 @@ func AppendResponse(dst []byte, r *Response) []byte {
 			dst = appendString(dst, e.Key)
 			dst = binary.BigEndian.AppendUint64(dst, e.Hash)
 		}
+	case RespCodes:
+		dst = binary.AppendUvarint(dst, uint64(len(r.Codes)))
+		for _, code := range r.Codes {
+			dst = binary.AppendUvarint(dst, code)
+		}
 	case RespSyncWAL:
 		dst = binary.AppendUvarint(dst, r.N)
 		if r.Done {
@@ -315,6 +331,40 @@ func AppendResponse(dst []byte, r *Response) []byte {
 
 // --- decoding ---
 
+// label names the PDU field a decode step reads, for error messages: a
+// fixed name, the element index inside a counted sequence (idx >= 0),
+// and the part of the field ("length", "lo", "hi"). It is a value, not
+// a string, so the success path formats nothing per element; String
+// renders it only when a decode error is returned.
+type label struct {
+	name string
+	idx  int
+	part string
+}
+
+// field labels a scalar field.
+func field(name string) label { return label{name: name, idx: -1} }
+
+// elem labels element i of a counted sequence.
+func elem(name string, i int) label { return label{name: name, idx: i} }
+
+// sub labels one part of l.
+func (l label) sub(part string) label {
+	l.part = part
+	return l
+}
+
+func (l label) String() string {
+	s := l.name
+	if l.idx >= 0 {
+		s += " " + strconv.Itoa(l.idx)
+	}
+	if l.part != "" {
+		s += " " + l.part
+	}
+	return s
+}
+
 // cursor walks a payload with bounds-checked reads; every failure mode
 // maps to a typed error naming the field that broke.
 type cursor struct {
@@ -324,25 +374,25 @@ type cursor struct {
 
 func (c *cursor) rem() int { return len(c.p) - c.pos }
 
-func (c *cursor) byte(field string) (byte, error) {
+func (c *cursor) byte(l label) (byte, error) {
 	if c.rem() < 1 {
-		return 0, fmt.Errorf("%w: %s at offset %d", ErrTruncated, field, c.pos)
+		return 0, fmt.Errorf("%w: %s at offset %d", ErrTruncated, l, c.pos)
 	}
 	b := c.p[c.pos]
 	c.pos++
 	return b, nil
 }
 
-func (c *cursor) uvarint(field string) (uint64, error) {
+func (c *cursor) uvarint(l label) (uint64, error) {
 	v, n := binary.Uvarint(c.p[c.pos:])
 	if n <= 0 {
-		return 0, fmt.Errorf("%w: %s at offset %d", ErrTruncated, field, c.pos)
+		return 0, fmt.Errorf("%w: %s at offset %d", ErrTruncated, l, c.pos)
 	}
 	// Reject non-minimal encodings (a trailing zero continuation group)
 	// so every value has exactly one wire form — the property the fuzz
 	// harness checks by re-encoding.
 	if n > 1 && c.p[c.pos+n-1] == 0 {
-		return 0, fmt.Errorf("%w: non-minimal varint for %s at offset %d", ErrMalformed, field, c.pos)
+		return 0, fmt.Errorf("%w: non-minimal varint for %s at offset %d", ErrMalformed, l, c.pos)
 	}
 	c.pos += n
 	return v, nil
@@ -352,16 +402,16 @@ func (c *cursor) uvarint(field string) (uint64, error) {
 // checked against both the frame cap and the bytes actually present, so
 // a hostile header can neither force a huge allocation nor read past
 // the payload.
-func (c *cursor) bytes(field string) ([]byte, error) {
-	n, err := c.uvarint(field + " length")
+func (c *cursor) bytes(l label) ([]byte, error) {
+	n, err := c.uvarint(l.sub("length"))
 	if err != nil {
 		return nil, err
 	}
 	if n > MaxFrame {
-		return nil, fmt.Errorf("%w: %s claims %d bytes", ErrOversize, field, n)
+		return nil, fmt.Errorf("%w: %s claims %d bytes", ErrOversize, l, n)
 	}
 	if uint64(c.rem()) < n {
-		return nil, fmt.Errorf("%w: %s claims %d bytes, %d remain", ErrOversize, field, n, c.rem())
+		return nil, fmt.Errorf("%w: %s claims %d bytes, %d remain", ErrOversize, l, n, c.rem())
 	}
 	b := c.p[c.pos : c.pos+int(n)]
 	c.pos += int(n)
@@ -371,22 +421,22 @@ func (c *cursor) bytes(field string) ([]byte, error) {
 // count reads a sequence count and sanity-checks it against the bytes
 // left: every element costs at least minPer bytes, so a count the
 // payload cannot possibly hold is rejected before any allocation.
-func (c *cursor) count(field string, minPer int) (int, error) {
-	n, err := c.uvarint(field)
+func (c *cursor) count(l label, minPer int) (int, error) {
+	n, err := c.uvarint(l)
 	if err != nil {
 		return 0, err
 	}
 	if n > uint64(c.rem()/minPer) {
-		return 0, fmt.Errorf("%w: %s claims %d elements, %d bytes remain", ErrOversize, field, n, c.rem())
+		return 0, fmt.Errorf("%w: %s claims %d elements, %d bytes remain", ErrOversize, l, n, c.rem())
 	}
 	return int(n), nil
 }
 
 // u64 reads a fixed 8-byte big-endian word (Merkle hashes — uniformly
 // random 64-bit values, which a uvarint would inflate to ~9.2 bytes).
-func (c *cursor) u64(field string) (uint64, error) {
+func (c *cursor) u64(l label) (uint64, error) {
 	if c.rem() < 8 {
-		return 0, fmt.Errorf("%w: %s at offset %d", ErrTruncated, field, c.pos)
+		return 0, fmt.Errorf("%w: %s at offset %d", ErrTruncated, l, c.pos)
 	}
 	v := binary.BigEndian.Uint64(c.p[c.pos:])
 	c.pos += 8
@@ -396,28 +446,28 @@ func (c *cursor) u64(field string) (uint64, error) {
 // span reads one bucket range and checks it is well-formed: bounds fit
 // in 32 bits and Lo < Hi (an empty span has no possible use and is
 // rejected as malformed).
-func (c *cursor) span(field string) (Span, error) {
-	lo, err := c.uvarint(field + " lo")
+func (c *cursor) span(l label) (Span, error) {
+	lo, err := c.uvarint(l.sub("lo"))
 	if err != nil {
 		return Span{}, err
 	}
-	hi, err := c.uvarint(field + " hi")
+	hi, err := c.uvarint(l.sub("hi"))
 	if err != nil {
 		return Span{}, err
 	}
 	if lo >= hi || hi >= 1<<32 {
-		return Span{}, fmt.Errorf("%w: %s is [%d, %d)", ErrMalformed, field, lo, hi)
+		return Span{}, fmt.Errorf("%w: %s is [%d, %d)", ErrMalformed, l, lo, hi)
 	}
 	return Span{Lo: uint32(lo), Hi: uint32(hi)}, nil
 }
 
-func (c *cursor) key(field string) (string, error) {
-	b, err := c.bytes(field)
+func (c *cursor) key(l label) (string, error) {
+	b, err := c.bytes(l)
 	if err != nil {
 		return "", err
 	}
 	if len(b) == 0 {
-		return "", fmt.Errorf("%w: %s", ErrZeroKey, field)
+		return "", fmt.Errorf("%w: %s", ErrZeroKey, l)
 	}
 	return string(b), nil
 }
@@ -427,11 +477,11 @@ func (c *cursor) key(field string) (string, error) {
 // server can still address its error response.
 func DecodeRequest(p []byte) (*Request, error) {
 	c := &cursor{p: p}
-	verb, err := c.byte("verb")
+	verb, err := c.byte(field("verb"))
 	if err != nil {
 		return nil, err
 	}
-	id, err := c.uvarint("correlation ID")
+	id, err := c.uvarint(field("correlation ID"))
 	if err != nil {
 		return nil, err
 	}
@@ -440,70 +490,70 @@ func DecodeRequest(p []byte) (*Request, error) {
 	case VerbPing, VerbCount, VerbKeys:
 		// empty body
 	case VerbGet, VerbDel:
-		if r.Key, err = c.key("key"); err != nil {
+		if r.Key, err = c.key(field("key")); err != nil {
 			return r, err
 		}
 	case VerbSet, VerbSetV:
-		if r.Key, err = c.key("key"); err != nil {
+		if r.Key, err = c.key(field("key")); err != nil {
 			return r, err
 		}
-		if r.Value, err = c.bytes("value"); err != nil {
+		if r.Value, err = c.bytes(field("value")); err != nil {
 			return r, err
 		}
 	case VerbTree, VerbScan:
-		n, err := c.count("span count", 2)
+		n, err := c.count(field("span count"), 2)
 		if err != nil {
 			return r, err
 		}
 		r.Spans = make([]Span, 0, n)
 		for i := 0; i < n; i++ {
-			s, err := c.span(fmt.Sprintf("span %d", i))
+			s, err := c.span(elem("span", i))
 			if err != nil {
 				return r, err
 			}
 			r.Spans = append(r.Spans, s)
 		}
 	case VerbMDel, VerbMGet:
-		n, err := c.count("key count", 1)
+		n, err := c.count(field("key count"), 1)
 		if err != nil {
 			return r, err
 		}
 		r.Keys = make([]string, 0, n)
 		for i := 0; i < n; i++ {
-			k, err := c.key(fmt.Sprintf("key %d", i))
+			k, err := c.key(elem("key", i))
 			if err != nil {
 				return r, err
 			}
 			r.Keys = append(r.Keys, k)
 		}
-	case VerbMPut:
-		n, err := c.count("pair count", 2)
+	case VerbMPut, VerbMSetV:
+		n, err := c.count(field("pair count"), 2)
 		if err != nil {
 			return r, err
 		}
 		r.Pairs = make([]KV, 0, n)
 		for i := 0; i < n; i++ {
-			k, err := c.key(fmt.Sprintf("key %d", i))
+			k, err := c.key(elem("key", i))
 			if err != nil {
 				return r, err
 			}
-			v, err := c.bytes(fmt.Sprintf("value %d", i))
+			v, err := c.bytes(elem("value", i))
 			if err != nil {
 				return r, err
 			}
 			r.Pairs = append(r.Pairs, KV{Key: k, Value: v})
 		}
 	case VerbSyncWAL:
-		if r.Mode, err = c.byte("syncwal mode"); err != nil {
+		if r.Mode, err = c.byte(field("syncwal mode")); err != nil {
 			return r, err
 		}
 		if r.Mode > SyncWALApply {
 			return r, fmt.Errorf("%w: syncwal mode 0x%02x", ErrMalformed, r.Mode)
 		}
-		if r.Cursor, err = c.uvarint("syncwal cursor"); err != nil {
+		if r.Cursor, err = c.uvarint(field("syncwal cursor")); err != nil {
 			return r, err
 		}
-		if r.Value, err = c.bytes("syncwal chunk"); err != nil {
+		if r.Value, err = c.bytes(field("syncwal chunk")); err != nil {
 			return r, err
 		}
 	default:
@@ -518,11 +568,11 @@ func DecodeRequest(p []byte) (*Request, error) {
 // DecodeResponse decodes one response PDU.
 func DecodeResponse(p []byte) (*Response, error) {
 	c := &cursor{p: p}
-	tag, err := c.byte("tag")
+	tag, err := c.byte(field("tag"))
 	if err != nil {
 		return nil, err
 	}
-	id, err := c.uvarint("correlation ID")
+	id, err := c.uvarint(field("correlation ID"))
 	if err != nil {
 		return nil, err
 	}
@@ -531,15 +581,15 @@ func DecodeResponse(p []byte) (*Response, error) {
 	case RespOK, RespNotFound, RespOverload:
 		// empty body
 	case RespValue:
-		if r.Value, err = c.bytes("value"); err != nil {
+		if r.Value, err = c.bytes(field("value")); err != nil {
 			return r, err
 		}
 	case RespCount:
-		if r.N, err = c.uvarint("count"); err != nil {
+		if r.N, err = c.uvarint(field("count")); err != nil {
 			return r, err
 		}
 	case RespKeys:
-		n, err := c.count("key count", 1)
+		n, err := c.count(field("key count"), 1)
 		if err != nil {
 			return r, err
 		}
@@ -547,28 +597,28 @@ func DecodeResponse(p []byte) (*Response, error) {
 		for i := 0; i < n; i++ {
 			// A KEYS response may legitimately carry keys the text
 			// protocol could not (defensive: reject zero-length anyway).
-			k, err := c.key(fmt.Sprintf("key %d", i))
+			k, err := c.key(elem("key", i))
 			if err != nil {
 				return r, err
 			}
 			r.Keys = append(r.Keys, k)
 		}
 	case RespMulti:
-		n, err := c.count("entry count", 2)
+		n, err := c.count(field("entry count"), 2)
 		if err != nil {
 			return r, err
 		}
 		r.Found = make([]bool, 0, n)
 		r.Values = make([][]byte, 0, n)
 		for i := 0; i < n; i++ {
-			f, err := c.byte(fmt.Sprintf("found flag %d", i))
+			f, err := c.byte(elem("found flag", i))
 			if err != nil {
 				return r, err
 			}
 			if f > 1 {
 				return r, fmt.Errorf("%w: found flag %d is 0x%02x", ErrMalformed, i, f)
 			}
-			v, err := c.bytes(fmt.Sprintf("value %d", i))
+			v, err := c.bytes(elem("value", i))
 			if err != nil {
 				return r, err
 			}
@@ -576,40 +626,53 @@ func DecodeResponse(p []byte) (*Response, error) {
 			r.Values = append(r.Values, v)
 		}
 	case RespHashes:
-		n, err := c.count("hash count", 8)
+		n, err := c.count(field("hash count"), 8)
 		if err != nil {
 			return r, err
 		}
 		r.Hashes = make([]uint64, 0, n)
 		for i := 0; i < n; i++ {
-			h, err := c.u64(fmt.Sprintf("hash %d", i))
+			h, err := c.u64(elem("hash", i))
 			if err != nil {
 				return r, err
 			}
 			r.Hashes = append(r.Hashes, h)
 		}
 	case RespScan:
-		n, err := c.count("entry count", 10)
+		n, err := c.count(field("entry count"), 10)
 		if err != nil {
 			return r, err
 		}
 		r.Scan = make([]ScanEntry, 0, n)
 		for i := 0; i < n; i++ {
-			k, err := c.key(fmt.Sprintf("key %d", i))
+			k, err := c.key(elem("key", i))
 			if err != nil {
 				return r, err
 			}
-			h, err := c.u64(fmt.Sprintf("entry hash %d", i))
+			h, err := c.u64(elem("entry hash", i))
 			if err != nil {
 				return r, err
 			}
 			r.Scan = append(r.Scan, ScanEntry{Key: k, Hash: h})
 		}
-	case RespSyncWAL:
-		if r.N, err = c.uvarint("syncwal next cursor"); err != nil {
+	case RespCodes:
+		n, err := c.count(field("code count"), 1)
+		if err != nil {
 			return r, err
 		}
-		d, err := c.byte("syncwal done flag")
+		r.Codes = make([]uint64, 0, n)
+		for i := 0; i < n; i++ {
+			code, err := c.uvarint(elem("code", i))
+			if err != nil {
+				return r, err
+			}
+			r.Codes = append(r.Codes, code)
+		}
+	case RespSyncWAL:
+		if r.N, err = c.uvarint(field("syncwal next cursor")); err != nil {
+			return r, err
+		}
+		d, err := c.byte(field("syncwal done flag"))
 		if err != nil {
 			return r, err
 		}
@@ -617,11 +680,11 @@ func DecodeResponse(p []byte) (*Response, error) {
 			return r, fmt.Errorf("%w: syncwal done flag is 0x%02x", ErrMalformed, d)
 		}
 		r.Done = d != 0
-		if r.Value, err = c.bytes("syncwal chunk"); err != nil {
+		if r.Value, err = c.bytes(field("syncwal chunk")); err != nil {
 			return r, err
 		}
 	case RespErr:
-		msg, err := c.bytes("error message")
+		msg, err := c.bytes(field("error message"))
 		if err != nil {
 			return r, err
 		}

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 )
@@ -38,6 +39,7 @@ func TestDecodeRequestRoundTrip(t *testing.T) {
 		{"setv", &Request{Verb: VerbSetV, ID: 11, Key: "k", Value: []byte("n0:1@5 v x")}},
 		{"tree", &Request{Verb: VerbTree, ID: 12, Spans: []Span{{0, 4096}, {128, 256}}}},
 		{"scan", &Request{Verb: VerbScan, ID: 13, Spans: []Span{{7, 8}}}},
+		{"msetv", &Request{Verb: VerbMSetV, ID: 14, Pairs: []KV{{"a", []byte("n0:1@5 v 1")}, {"b", []byte{}}}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -75,6 +77,7 @@ func TestDecodeRequestTruncatedEveryBoundary(t *testing.T) {
 		{Verb: VerbSetV, ID: 1, Key: "key", Value: []byte("value")},
 		{Verb: VerbTree, ID: 1, Spans: []Span{{300, 4096}}},
 		{Verb: VerbScan, ID: 1, Spans: []Span{{0, 1}, {9, 300}}},
+		{Verb: VerbMSetV, ID: 1, Pairs: []KV{{"k1", []byte("v1")}, {"k2", []byte("v2")}}},
 	}
 	for _, shape := range shapes {
 		enc := AppendRequest(nil, shape)
@@ -101,6 +104,7 @@ func TestDecodeResponseTruncatedEveryBoundary(t *testing.T) {
 		{Tag: RespOverload, ID: 500},
 		{Tag: RespHashes, ID: 1, Hashes: []uint64{0xdeadbeef, 1 << 63}},
 		{Tag: RespScan, ID: 1, Scan: []ScanEntry{{"k1", 7}, {"k2", 1 << 40}}},
+		{Tag: RespCodes, ID: 1, Codes: []uint64{0, 3, 1 << 20}},
 		{Tag: RespErr, ID: 1, Err: "boom"},
 	}
 	for _, shape := range shapes {
@@ -155,6 +159,12 @@ func TestDecodeRequestMalformed(t *testing.T) {
 		{"response tag as verb", req(t, &Request{Verb: RespOK, ID: 1}), ErrUnknownVerb},
 		{"zero-length key GET", []byte{VerbGet, 1, 0}, ErrZeroKey},
 		{"zero-length key in MDEL", []byte{VerbMDel, 1, 1, 0}, ErrZeroKey},
+		{"zero-length key in MPUT", []byte{VerbMPut, 1, 1, 0, 0}, ErrZeroKey},
+		{"zero-length key in MSETV", []byte{VerbMSetV, 1, 1, 0, 0}, ErrZeroKey},
+		{"MPUT value length overclaims", []byte{VerbMPut, 1, 1, 1, 'k', 9, 'v'}, ErrOversize},
+		{"MSETV value length overclaims", []byte{VerbMSetV, 1, 1, 1, 'k', 9, 'v'}, ErrOversize},
+		{"MPUT count above payload", append([]byte{VerbMPut, 1}, 0xFF, 0xFF, 0x03), ErrOversize},
+		{"MSETV count above payload", append([]byte{VerbMSetV, 1}, 0xFF, 0xFF, 0x03), ErrOversize},
 		{"value length overclaims", overclaim, ErrOversize},
 		{"value length above frame cap", hugeClaim, ErrOversize},
 		{"MDEL count above payload", hugeCount, ErrOversize},
@@ -200,6 +210,8 @@ func TestDecodeResponseMalformed(t *testing.T) {
 		{"verb as tag", []byte{VerbSet, 1}, ErrUnknownTag},
 		{"multi count above payload", append([]byte{RespMulti, 1}, 0xFF, 0xFF, 0x03), ErrOversize},
 		{"multi found flag not 0/1", []byte{RespMulti, 1, 1, 0x02, 0x00}, ErrMalformed},
+		{"codes count above payload", append([]byte{RespCodes, 1}, 0xFF, 0xFF, 0x03), ErrOversize},
+		{"non-minimal code varint", []byte{RespCodes, 1, 1, 0x81, 0x00}, ErrMalformed},
 		{"trailing bytes", append(AppendResponse(nil, &Response{Tag: RespOK, ID: 1}), 0), ErrTrailing},
 	}
 	for _, tt := range tests {
@@ -209,6 +221,78 @@ func TestDecodeResponseMalformed(t *testing.T) {
 				t.Errorf("DecodeResponse(%x) = %v, want %v", tt.in, err, tt.want)
 			}
 		})
+	}
+}
+
+func TestDecodeResponseRoundTrip(t *testing.T) {
+	tests := []struct {
+		name string
+		in   *Response
+	}{
+		{"codes", &Response{Tag: RespCodes, ID: 9, Codes: []uint64{0, 1, 2, 3, 1 << 40}}},
+		{"no codes", &Response{Tag: RespCodes, ID: 10, Codes: []uint64{}}},
+		{"scan", &Response{Tag: RespScan, ID: 11, Scan: []ScanEntry{{"k", 1 << 63}}}},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			got, err := DecodeResponse(AppendResponse(nil, tt.in))
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if !reflect.DeepEqual(got, tt.in) {
+				t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, tt.in)
+			}
+		})
+	}
+}
+
+// TestDecodeAllocsPerElement: field labels for error messages are
+// rendered only when decoding fails, so a clean decode of a 128-element
+// batch allocates one string per decoded key and a fixed handful of
+// structs and slices — nothing per element for labels.
+func TestDecodeAllocsPerElement(t *testing.T) {
+	const n = 128
+	keys := make([]string, n)
+	pairs := make([]KV, n)
+	spans := make([]Span, n)
+	scan := make([]ScanEntry, n)
+	codes := make([]uint64, n)
+	for i := 0; i < n; i++ {
+		keys[i] = fmt.Sprintf("key-%03d", i)
+		pairs[i] = KV{Key: keys[i], Value: []byte("n0:1@5 v value")}
+		spans[i] = Span{Lo: uint32(2 * i), Hi: uint32(2*i + 1)}
+		scan[i] = ScanEntry{Key: keys[i], Hash: uint64(i)}
+		codes[i] = uint64(i % 4)
+	}
+	const fixed = 4
+	tests := []struct {
+		name    string
+		pdu     []byte
+		resp    bool
+		strings int // elements that decode into a fresh string
+	}{
+		{"MGET", AppendRequest(nil, &Request{Verb: VerbMGet, ID: 1, Keys: keys}), false, n},
+		{"MPUT", AppendRequest(nil, &Request{Verb: VerbMPut, ID: 1, Pairs: pairs}), false, n},
+		{"MSETV", AppendRequest(nil, &Request{Verb: VerbMSetV, ID: 1, Pairs: pairs}), false, n},
+		{"SCAN", AppendRequest(nil, &Request{Verb: VerbScan, ID: 1, Spans: spans}), false, 0},
+		{"SCAN response", AppendResponse(nil, &Response{Tag: RespScan, ID: 1, Scan: scan}), true, n},
+		{"MSETV response", AppendResponse(nil, &Response{Tag: RespCodes, ID: 1, Codes: codes}), true, 0},
+	}
+	for _, tt := range tests {
+		allocs := testing.AllocsPerRun(50, func() {
+			var err error
+			if tt.resp {
+				_, err = DecodeResponse(tt.pdu)
+			} else {
+				_, err = DecodeRequest(tt.pdu)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > float64(tt.strings+fixed) {
+			t.Errorf("%s: %.0f allocs for %d elements, want at most %d", tt.name, allocs, n, tt.strings+fixed)
+		}
 	}
 }
 
@@ -235,6 +319,8 @@ func FuzzDecodeFrame(f *testing.F) {
 		AppendRequest(nil, &Request{Verb: VerbScan, ID: 9, Spans: []Span{{5, 6}}}),
 		AppendResponse(nil, &Response{Tag: RespHashes, ID: 10, Hashes: []uint64{42}}),
 		AppendResponse(nil, &Response{Tag: RespScan, ID: 11, Scan: []ScanEntry{{"k", 9}}}),
+		AppendRequest(nil, &Request{Verb: VerbMSetV, ID: 12, Pairs: []KV{{"k", []byte("n0:1@5 v x")}, {"j", nil}}}),
+		AppendResponse(nil, &Response{Tag: RespCodes, ID: 13, Codes: []uint64{0, 1, 2, 3}}),
 		{VerbSet, 0x01, 0x00},
 		{0xFF, 0xFF, 0xFF},
 	}
