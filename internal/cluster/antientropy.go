@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/merkle"
@@ -101,13 +102,11 @@ func (c *Cluster) SyncNow(ctx context.Context) (int, error) {
 // scan-and-repair over the divergent bucket spans.
 func (c *Cluster) syncPair(ctx context.Context, a, b *node) (int, error) {
 	// pace throttles every request after a pass's first, so a large
-	// repair cannot monopolize the nodes it is repairing. Diff calls
-	// the fetchers sequentially from this goroutine, so the shared
-	// counter needs no lock.
-	reqs := 0
+	// repair cannot monopolize the nodes it is repairing. A stream's
+	// fetcher paces from its own goroutine, so the counter is atomic.
+	var reqs atomic.Int64
 	pace := func() error {
-		reqs++
-		if reqs == 1 || c.cfg.AntiEntropyWait <= 0 {
+		if reqs.Add(1) == 1 || c.cfg.AntiEntropyWait <= 0 {
 			return nil
 		}
 		select {

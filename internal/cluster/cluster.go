@@ -120,7 +120,9 @@ type Config struct {
 	// a temporary directory that Close removes.
 	WALRoot string
 	// WALSnapshotEvery passes through to each node's
-	// sockets.ServerConfig (default 10000 mutations per snapshot).
+	// sockets.ServerConfig: the floor on mutations per snapshot
+	// (default 10000). A node also waits for at least as many mutations
+	// as its last snapshot held keys before the next one.
 	WALSnapshotEvery int
 	// WALSegmentBytes passes through to each durable node's log segment
 	// cap (default 4 MiB). Recovery and chaos tests shrink it so sealed

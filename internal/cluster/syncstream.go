@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/merkle"
 	"repro/internal/sockets"
-	"repro/internal/version"
 	"repro/internal/wal"
 )
 
@@ -47,6 +46,9 @@ func (c *Cluster) streamEligible(leaves []merkle.Range) bool {
 // zero and convergence loops still terminate. pace is the caller's
 // per-request throttle, shared so a stream honors AntiEntropyWait like
 // any other repair traffic.
+//
+// The stream is pipelined (pipeDump): chunk k+1 is fetched from the
+// source and filtered while chunk k is applied at the destination.
 func (c *Cluster) streamSync(ctx context.Context, a, b *node, pace func() error) (int, error) {
 	if err := pace(); err != nil {
 		return 0, err
@@ -68,95 +70,139 @@ func (c *Cluster) streamSync(ctx context.Context, a, b *node, pace func() error)
 	}
 
 	applied := 0
-	restarted := false
-	var cur uint64
-	for {
-		if err := pace(); err != nil {
-			return applied, err
-		}
+	dump := func(ctx context.Context, cur uint64) ([]byte, uint64, bool, error) {
 		chunk, next, done, err := src.client().SyncWALDumpCtx(ctx, cur)
+		if err == nil {
+			chunk, err = c.filterStream(chunk, dst.name)
+		}
+		return chunk, next, done, err
+	}
+	err = pipeDump(ctx, dump, pace, func(filtered []byte) error {
+		if len(filtered) == 0 {
+			return nil
+		}
+		if err := pace(); err != nil {
+			return err
+		}
+		n, err := dst.client().SyncWALApplyCtx(ctx, filtered)
 		if err != nil {
-			// A snapshot on the source pruned a segment mid-dump: the
-			// cursor is stale and the only consistent move is to restart
-			// from zero. Re-applied frames are harmless (version-
-			// conditional); a second staleness means the source is
-			// snapshotting faster than we can stream, so fall back to the
-			// Merkle path rather than loop.
-			if strings.Contains(err.Error(), "stale dump cursor") && !restarted {
-				restarted, cur = true, 0
-				continue
-			}
-			return applied, err
+			return err
 		}
-		filtered, err := c.filterStream(chunk, dst.name)
-		if err != nil {
-			return applied, err
-		}
-		if len(filtered) > 0 {
-			if err := pace(); err != nil {
-				return applied, err
-			}
-			n, err := dst.client().SyncWALApplyCtx(ctx, filtered)
-			if err != nil {
-				return applied, err
-			}
-			applied += n
-			c.aeStreamBytes.Add(int64(len(filtered)))
-		}
-		if done {
-			break
-		}
-		cur = next
+		applied += n
+		c.aeStreamBytes.Add(int64(len(filtered)))
+		return nil
+	})
+	if err != nil {
+		return applied, err
 	}
 	c.aeStreams.Add(1)
 	c.aeKeysRepaired.Add(int64(applied))
 	return applied, nil
 }
 
-// filterStream decodes one dump chunk and re-frames only what the
-// destination should ingest: dedupe recordings (per-client retry
-// identities, replica-agnostic), and Set payloads — MPut pairs
+// dumpFunc fetches one SYNCWAL dump chunk from cursor cur.
+type dumpFunc func(ctx context.Context, cur uint64) (chunk []byte, next uint64, done bool, err error)
+
+// dumpChunk is one fetched dump chunk, or the error that ended the
+// dump.
+type dumpChunk struct {
+	chunk []byte
+	done  bool
+	err   error
+}
+
+// pipeDump runs a whole dump through consume, one chunk at a time and
+// in order, overlapping the two: a fetcher goroutine pulls chunk k+1
+// while consume works on chunk k. The hand-off channel is unbuffered,
+// so the fetcher stays at most one chunk ahead. Every return —
+// success, a fetch or consume error, or ctx ending — cancels the
+// fetcher and waits for it to exit.
+func pipeDump(ctx context.Context, dump dumpFunc, pace func() error, consume func(chunk []byte) error) error {
+	ctx, cancel := context.WithCancel(ctx)
+	chunks := make(chan dumpChunk)
+	fetched := make(chan struct{})
+	go func() {
+		defer close(fetched)
+		fetchDump(ctx, dump, pace, chunks)
+	}()
+	defer func() {
+		cancel()
+		<-fetched
+	}()
+	for {
+		var d dumpChunk
+		select {
+		case d = <-chunks:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		if d.err != nil {
+			return d.err
+		}
+		if err := consume(d.chunk); err != nil {
+			return err
+		}
+		if d.done {
+			return nil
+		}
+	}
+}
+
+// fetchDump pulls a dump chunk by chunk into out, pacing each request.
+// It returns after handing over the last chunk or an error, or when
+// ctx ends.
+func fetchDump(ctx context.Context, dump dumpFunc, pace func() error, out chan<- dumpChunk) {
+	restarted := false
+	var cur uint64
+	for {
+		var d dumpChunk
+		var next uint64
+		if d.err = pace(); d.err == nil {
+			d.chunk, next, d.done, d.err = dump(ctx, cur)
+		}
+		// A snapshot on the source replaced the snapshot or pruned the
+		// segment the cursor points into: the only consistent move is to
+		// restart from zero. Re-applied frames are harmless (version-
+		// conditional); a second staleness means the source is
+		// snapshotting faster than we can stream, so fall back to the
+		// Merkle path rather than loop.
+		if d.err != nil && strings.Contains(d.err.Error(), "stale dump cursor") && !restarted {
+			restarted, cur = true, 0
+			continue
+		}
+		select {
+		case out <- d:
+		case <-ctx.Done():
+			return
+		}
+		if d.err != nil || d.done {
+			return
+		}
+		cur = next
+	}
+}
+
+// filterStream re-frames one dump chunk down to what the destination
+// should ingest (see wal.FilterStream): dedupe recordings (per-client
+// retry identities, replica-agnostic) and Set payloads — MPut pairs
 // flattened to single Sets — for keys the destination actually
-// replicates, skipping parked hints (per-holder scratch state) and
-// anything without a version stamp (the receiver applies via SETV,
-// which needs one; unstamped bytes can't be resolved against what the
-// receiver may already hold). Raw Del/MDel records are dropped too:
-// cluster deletes are versioned tombstone Sets, so a bare delete frame
-// could only have come from outside the cluster's write path, and
-// blindly erasing the receiver's copy could destroy a newer version.
+// replicates, skipping parked hints (per-holder scratch state). Kept
+// Set frames travel verbatim, source CRC included. Raw Del/MDel records
+// are dropped: cluster deletes are versioned tombstone Sets, so a bare
+// delete frame could only have come from outside the cluster's write
+// path, and blindly erasing the receiver's copy could destroy a newer
+// version. Unstamped values pass through and the receiver skips them,
+// as it skips any value SETV cannot order. One topoMu read lock covers
+// the chunk.
 func (c *Cluster) filterStream(chunk []byte, dstName string) ([]byte, error) {
 	if len(chunk) == 0 {
 		return nil, nil
 	}
-	items, err := wal.DecodeStream(chunk)
-	if err != nil {
-		return nil, err
-	}
-	keep := func(key, value string) bool {
-		if strings.HasPrefix(key, hintMark) || !c.replicaFor(key, dstName) {
-			return false
-		}
-		_, _, _, err := version.Decode(value)
-		return err == nil
-	}
-	var out []byte
-	for _, it := range items {
-		switch {
-		case it.Dedupe != nil:
-			out = wal.AppendStreamDedupe(out, *it.Dedupe)
-		case it.Rec.Kind == wal.KindSet:
-			if keep(it.Rec.Key, it.Rec.Value) {
-				out = wal.AppendStreamRecord(out, it.Rec)
-			}
-		case it.Rec.Kind == wal.KindMPut:
-			for _, kv := range it.Rec.Pairs {
-				if keep(kv.Key, kv.Value) {
-					out = wal.AppendStreamRecord(out, &wal.Record{Kind: wal.KindSet, Key: kv.Key, Value: kv.Value})
-				}
-			}
-		}
-	}
-	return out, nil
+	c.topoMu.RLock()
+	defer c.topoMu.RUnlock()
+	return wal.FilterStream(make([]byte, 0, len(chunk)), chunk, func(key string) bool {
+		return !strings.HasPrefix(key, hintMark) && c.replicaForLocked(key, dstName)
+	})
 }
 
 // AntiEntropyStreams reports how many WAL-streaming re-replications

@@ -68,6 +68,7 @@ func setvOutcome(cur string, curOK bool, in version.Version) (apply bool, code u
 type setvWrite struct {
 	key, value string
 	in         version.Version
+	frame      []byte // when set, the KindSet record frame to log as is
 }
 
 // newSetVWrite validates one SETV pair: a well-formed key and a value
@@ -120,7 +121,11 @@ func (s *Server) setVBatch(ws []setvWrite) ([]uint64, error) {
 		if apply {
 			sh.store[w.key] = w.value
 			s.digestApply(w.key, cur, w.value, had, true)
-			if s.wal != nil {
+			switch {
+			case s.wal == nil:
+			case w.frame != nil:
+				ticks = append(ticks, s.wal.BeginFrame(w.frame))
+			default:
 				ticks = append(ticks, s.wal.Begin(&wal.Record{Kind: wal.KindSet, Key: w.key, Value: w.value}))
 			}
 		}

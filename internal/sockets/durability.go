@@ -9,8 +9,8 @@ import (
 	"repro/internal/wal"
 )
 
-// defaultSnapshotEvery is how many logged mutations accumulate before
-// the server compacts a snapshot when WALSnapshotEvery is unset.
+// defaultSnapshotEvery is the snapshot trigger's mutation floor when
+// WALSnapshotEvery is unset.
 const defaultSnapshotEvery = 10000
 
 // openWAL wires the write-ahead log into a starting server: recovery
@@ -30,6 +30,7 @@ func (s *Server) openWAL(cfg ServerConfig) error {
 		SegmentBytes:  cfg.WALSegmentBytes,
 		ReplayWorkers: workers,
 		OnSnapshot: func(snap *wal.Snapshot) error {
+			s.snapKeys.Store(int64(len(snap.Pairs)))
 			for _, kv := range snap.Pairs {
 				sh := s.shardFor(kv.Key)
 				sh.store[kv.Key] = kv.Value
@@ -103,16 +104,21 @@ func (s *Server) walWait(t *wal.Ticket) error {
 	if err := t.Wait(); err != nil {
 		return err
 	}
-	if s.walSince.Add(1) >= s.walEvery {
+	if n := s.walSince.Add(1); n >= s.walEvery && n >= s.snapKeys.Load() {
 		s.maybeSnapshot()
 	}
 	return nil
 }
 
 // maybeSnapshot compacts the log when enough mutations have accumulated
-// since the last snapshot. Single-flight: one goroutine rotates,
-// captures, and persists while appends continue; a failure just leaves
-// compaction to the next trigger.
+// since the last snapshot: at least walEvery, and at least as many as
+// the last snapshot held keys. The second half amortizes: a snapshot
+// costs time proportional to the store, so it waits until the log tail
+// it compacts is as large, and a bulk apply of N keys into an empty
+// store snapshots at roughly walEvery, 2·walEvery, 4·walEvery, … keys —
+// O(log N) snapshots instead of N/walEvery. Single-flight: one
+// goroutine rotates, captures, and persists while appends continue; a
+// failure just leaves compaction to the next trigger.
 func (s *Server) maybeSnapshot() {
 	if !s.snapInFlight.CompareAndSwap(false, true) {
 		return
@@ -134,7 +140,14 @@ func (s *Server) maybeSnapshot() {
 		if err != nil {
 			return // closed, crashed, or a latched I/O error: not our problem to report
 		}
-		snap := &wal.Snapshot{Dedupe: s.dedupe.snapshotEntries()}
+		n := 0
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.lock.RLock()
+			n += len(sh.store)
+			sh.lock.RUnlock()
+		}
+		snap := &wal.Snapshot{Pairs: make([]wal.KV, 0, n+n/8), Dedupe: s.dedupe.snapshotEntries()}
 		for i := range s.shards {
 			sh := &s.shards[i]
 			sh.lock.RLock()
@@ -143,7 +156,9 @@ func (s *Server) maybeSnapshot() {
 			}
 			sh.lock.RUnlock()
 		}
-		s.wal.WriteSnapshot(tail, snap) //nolint:errcheck // next trigger retries; segments just stay around
+		if s.wal.WriteSnapshot(tail, snap) == nil {
+			s.snapKeys.Store(int64(len(snap.Pairs)))
+		} // else the next trigger retries; segments just stay around
 	}()
 }
 

@@ -290,14 +290,14 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 				if resp.Tag == wire.RespErr {
 					s.errSeen.Add(1)
 				}
-				out := wire.AppendResponse(nil, resp)
-				werr := fw.write(out)
-				if req.Verb != wire.VerbPing {
-					s.release()
-				}
+				// Record before the write, as serveText does.
 				d := time.Since(start)
 				s.latency.Observe(d)
 				s.observeVerb(wire.VerbName(req.Verb), d)
+				werr := fw.write(wire.AppendResponse(nil, resp))
+				if req.Verb != wire.VerbPing {
+					s.release()
+				}
 				closing := cs.addInflight(-1)
 				if werr != nil || closing || s.closed.Load() {
 					// Unwinding runs fw.stop, which flushes the queued
@@ -321,14 +321,13 @@ func (s *Server) serveBinary(cs *connState, br *bufio.Reader) {
 			if resp.Tag == wire.RespErr {
 				s.errSeen.Add(1)
 			}
-			out := wire.AppendResponse(nil, resp)
-			werr := fw.write(out)
-			if req.Verb != wire.VerbPing {
-				s.release()
-			}
 			d := time.Since(start)
 			s.latency.Observe(d)
 			s.observeVerb(wire.VerbName(req.Verb), d)
+			werr := fw.write(wire.AppendResponse(nil, resp))
+			if req.Verb != wire.VerbPing {
+				s.release()
+			}
 			closing := cs.addInflight(-1)
 			if werr != nil || closing || s.closed.Load() {
 				// Mirror the text loop's exit conditions: flush queued

@@ -112,9 +112,12 @@ type ServerConfig struct {
 	WALDir string
 	// WALSegmentBytes overrides the log's segment size (wal.Config).
 	WALSegmentBytes int64
-	// WALSnapshotEvery is how many logged mutations accumulate before
-	// the server compacts a snapshot and truncates old segments.
-	// Default 10000.
+	// WALSnapshotEvery is the floor on how many logged mutations
+	// accumulate before the server compacts a snapshot and truncates old
+	// segments. Default 10000. The trigger also waits for at least as
+	// many mutations as the last snapshot held keys, so snapshot cost
+	// stays proportional to the writes it compacts: a bulk load of N
+	// keys writes O(log N) snapshots, not N/WALSnapshotEvery.
 	WALSnapshotEvery int
 	// WALReplayWorkers sets startup recovery's replay fan-out: 0 defaults
 	// to the machine's CPU count (records partitioned by key stripe,
@@ -199,11 +202,14 @@ type Server struct {
 	dedupe *dedupeTable
 
 	// Durability (nil wal = memory-only). walSince counts mutations
-	// logged since the last snapshot; snapInFlight single-flights the
-	// compaction goroutine, which walWG joins on shutdown.
+	// logged since the last snapshot and snapKeys is that snapshot's key
+	// count, the two halves of the snapshot trigger; snapInFlight
+	// single-flights the compaction goroutine, which walWG joins on
+	// shutdown.
 	wal           *wal.Log
 	walEvery      int64
 	walSince      atomic.Int64
+	snapKeys      atomic.Int64
 	snapInFlight  atomic.Bool
 	walWG         sync.WaitGroup
 	recoveredKeys int
@@ -291,7 +297,8 @@ func (s *Server) Stats() Stats {
 }
 
 // Latency returns the per-request latency histogram (read-complete to
-// response-written).
+// response-ready). Each request is recorded before its response is
+// written, so a client that has its reply sees it counted.
 func (s *Server) Latency() *metrics.Histogram { return s.latency }
 
 // shardFor maps a key to its stripe.
@@ -475,13 +482,15 @@ func (s *Server) serveText(cs *connState, br *bufio.Reader) {
 		if strings.HasPrefix(resp, "ERR") {
 			s.errSeen.Add(1)
 		}
+		// Record before the write: a client that has its reply must see
+		// the request counted.
+		d := time.Since(start)
+		s.latency.Observe(d)
+		s.observeVerb(verb, d)
 		werr := WriteFrame(cs.conn, []byte(resp))
 		if verb != "PING" {
 			s.release()
 		}
-		d := time.Since(start)
-		s.latency.Observe(d)
-		s.observeVerb(verb, d)
 		closing := cs.addInflight(-1)
 		if werr != nil || closing || s.closed.Load() {
 			return

@@ -61,34 +61,41 @@ func (s *Server) syncWALDump(r *wire.Request) *wire.Response {
 // preload. Everything else in the stream (deletes, hint bookkeeping,
 // unstamped values) is skipped: the anti-entropy Merkle pass owns
 // those. The chunk's records share group-commit fsyncs, as an MSETV
-// batch's do.
+// batch's do. Each frame is decoded once, and a Set frame without a
+// dedupe identity — every snapshot pair, every flattened MPut pair — is
+// byte for byte the record this node would log for it, so the received
+// frame is logged as is.
 func (s *Server) syncWALApply(r *wire.Request) *wire.Response {
-	items, err := wal.DecodeStream(r.Value)
-	if err != nil {
-		return &wire.Response{Tag: wire.RespErr, ID: r.ID, Err: "syncwal: " + err.Error()}
-	}
 	var ws []setvWrite
-	put := func(key, value string) {
+	var dedupes []wal.DedupeEntry
+	put := func(key, value string, frame []byte) {
 		// An invalid key or an unstamped value is not replica data: skip
 		// it and let the Merkle pass decide.
 		if w, err := newSetVWrite(key, value); err == nil {
+			w.frame = frame
 			ws = append(ws, w)
 		}
 	}
-	for _, it := range items {
+	err := wal.WalkStream(r.Value, func(it wal.StreamItem, frame []byte) {
 		switch {
 		case it.Dedupe != nil:
-			s.dedupe.preload(dedupeKey{client: it.Dedupe.Client, id: it.Dedupe.ID}, it.Dedupe.Resp)
-		case it.Rec != nil:
-			switch it.Rec.Kind {
-			case wal.KindSet:
-				put(it.Rec.Key, it.Rec.Value)
-			case wal.KindMPut:
-				for _, kv := range it.Rec.Pairs {
-					put(kv.Key, kv.Value)
-				}
+			dedupes = append(dedupes, *it.Dedupe)
+		case it.Rec.Kind == wal.KindSet:
+			if it.Rec.Client != 0 || it.Rec.ID != 0 {
+				frame = nil // the source's dedupe identity is not this node's
+			}
+			put(it.Rec.Key, it.Rec.Value, frame)
+		case it.Rec.Kind == wal.KindMPut:
+			for _, kv := range it.Rec.Pairs {
+				put(kv.Key, kv.Value, nil)
 			}
 		}
+	})
+	if err != nil {
+		return &wire.Response{Tag: wire.RespErr, ID: r.ID, Err: "syncwal: " + err.Error()}
+	}
+	for _, e := range dedupes {
+		s.dedupe.preload(dedupeKey{client: e.Client, id: e.ID}, e.Resp)
 	}
 	codes, err := s.setVBatch(ws)
 	if err != nil {

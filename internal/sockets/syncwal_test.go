@@ -1,6 +1,7 @@
 package sockets
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -361,5 +362,59 @@ func TestServerScrub_SurfacesCorruption(t *testing.T) {
 	if re, err := NewServerConfig("127.0.0.1:0", ServerConfig{WALDir: dir}); err == nil {
 		re.Close()
 		t.Fatal("restart from a corrupt WAL directory succeeded")
+	}
+}
+
+// TestSyncWAL_ApplyLogsReceivedFramesAsIs: a received Set frame with no
+// dedupe identity (a snapshot pair) is logged byte for byte as it
+// arrived; one carrying the source's dedupe identity is logged as this
+// node's own plain set, since that identity belongs to the source. Both
+// survive a restart.
+func TestSyncWAL_ApplyLogsReceivedFramesAsIs(t *testing.T) {
+	dir := t.TempDir()
+	s, p := syncWALServer(t, dir, ServerConfig{})
+	plain := walStreamRecord("plain", stamped("n0", 1, "a"))
+	owned := wal.AppendStreamRecord(nil, &wal.Record{Kind: wal.KindSet, Client: 7, ID: 9, Key: "owned", Value: stamped("n0", 2, "b")})
+	if n, err := p.SyncWALApplyCtx(context.Background(), append(append([]byte(nil), plain...), owned...)); err != nil || n != 2 {
+		t.Fatalf("apply: n=%d err=%v", n, err)
+	}
+	p.Close()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "*.seg"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no segments (err %v)", err)
+	}
+	var log []byte
+	for _, seg := range segs {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log = append(log, data...)
+	}
+	if !bytes.Contains(log, plain) {
+		t.Fatal("the received snapshot-pair frame was not logged as is")
+	}
+	items, err := wal.DecodeStream(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, it := range items {
+		if it.Rec != nil && it.Rec.Key == "owned" {
+			found = true
+			if it.Rec.Client != 0 || it.Rec.ID != 0 {
+				t.Fatalf("logged the source's dedupe identity (%d, %d) on the receiver", it.Rec.Client, it.Rec.ID)
+			}
+		}
+	}
+	if !found {
+		t.Fatal("the received frame with a dedupe identity was not logged")
+	}
+	s2 := startDurableLocal(t, dir, ServerConfig{})
+	if got := s2.RecoveredKeys(); got != 2 {
+		t.Fatalf("recovered %d keys, want 2", got)
 	}
 }

@@ -96,11 +96,24 @@ func (r *Record) encode(dst []byte) []byte {
 // appendFrame frames one payload for the segment file: uvarint length,
 // 4-byte big-endian CRC32C of the payload, payload bytes.
 func appendFrame(dst, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.Checksum(payload, castagnoli))
-	dst = append(dst, crc[:]...)
-	return append(dst, payload...)
+	return appendFrameParts(dst, nil, payload)
+}
+
+// appendFrameParts frames the payload head+body without first joining
+// the two: a dump frames a snapshot item behind a synthesized record
+// header straight from the snapshot's bytes.
+func appendFrameParts(dst, head, body []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(head)+len(body)))
+	crc := crc32.Update(crc32.Checksum(head, castagnoli), castagnoli, body)
+	dst = binary.BigEndian.AppendUint32(dst, crc)
+	dst = append(dst, head...)
+	return append(dst, body...)
+}
+
+// frameLen is the framed size of an n-byte payload.
+func frameLen(n int) int {
+	var hdr [binary.MaxVarintLen64]byte
+	return binary.PutUvarint(hdr[:], uint64(n)) + 4 + n
 }
 
 // readFrame decodes one frame from the head of data. It returns errTorn
@@ -158,16 +171,23 @@ func (c *cursor) uvarint() (uint64, error) {
 }
 
 func (c *cursor) str() (string, error) {
+	b, err := c.raw()
+	return string(b), err
+}
+
+// raw reads a length-prefixed string as a sub-slice of the payload,
+// without copying it.
+func (c *cursor) raw() ([]byte, error) {
 	n, err := c.uvarint()
 	if err != nil {
-		return "", err
+		return nil, err
 	}
 	if n > uint64(len(c.buf)) {
-		return "", fmt.Errorf("%w: string of %d overruns payload", ErrCorrupt, n)
+		return nil, fmt.Errorf("%w: string of %d overruns payload", ErrCorrupt, n)
 	}
-	s := string(c.buf[:n])
+	b := c.buf[:n]
 	c.buf = c.buf[n:]
-	return s, nil
+	return b, nil
 }
 
 // key reads a string and rejects the empty key no store path can ever

@@ -51,7 +51,7 @@ func (l *Log) Scrub() (segments int, err error) {
 	}
 
 	snapPath := filepath.Join(l.dir, snapName)
-	if _, _, serr := loadSnapshotFile(snapPath); serr != nil {
+	if _, serr := readSnapImage(snapPath); serr != nil {
 		l.scrubErrs.Add(1)
 		if err == nil {
 			err = fmt.Errorf("wal: scrub %s: %w", snapPath, serr)

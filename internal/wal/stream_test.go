@@ -164,10 +164,12 @@ func TestSyncWAL_StreamCodecRejectsCorruption(t *testing.T) {
 	})
 }
 
-// FuzzSyncWALFrame fuzzes the receiver-side stream decoder: arbitrary
-// bytes must never panic, and whatever decodes cleanly must re-encode
-// to the identical byte stream (the decoder accepts only canonical
-// encodings).
+// FuzzSyncWALFrame fuzzes the stream decoder and the coordinator's
+// filter: arbitrary bytes must never panic, whatever decodes cleanly
+// must re-encode to the identical byte stream (the decoder accepts only
+// canonical encodings), and FilterStream must accept exactly what
+// DecodeStream accepts, keeping every Set and dedupe frame, flattening
+// MPut and dropping deletes.
 func FuzzSyncWALFrame(f *testing.F) {
 	var seed []byte
 	seed = AppendStreamRecord(seed, &Record{Kind: KindSet, Client: 9, ID: 1, Key: "key", Value: "value"})
@@ -177,11 +179,51 @@ func FuzzSyncWALFrame(f *testing.F) {
 	f.Add(AppendStreamRecord(nil, &Record{Kind: KindDel, Key: "gone"}))
 	f.Add([]byte{0x00})
 	f.Add([]byte{})
+	mixed, _ := filterChunk()
+	f.Add(mixed)
+	f.Add(mixed[:len(mixed)-3])
+	f.Add(appendFrame(nil, append((&Record{Kind: KindSet, Key: "k", Value: "v"}).encode(nil), 0)))
+	f.Add(appendFrame(nil, []byte{streamDedupeKind, 1, 2, 0}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		items, err := DecodeStream(data)
+		filtered, ferr := FilterStream(nil, data, func(string) bool { return true })
+		if (err == nil) != (ferr == nil) {
+			t.Fatalf("DecodeStream err %v but FilterStream err %v", err, ferr)
+		}
 		if err != nil {
+			if !errors.Is(ferr, ErrCorrupt) {
+				t.Fatalf("filter error escaping classification: %v", ferr)
+			}
 			return
+		}
+		var flat []byte
+		for _, it := range items {
+			switch {
+			case it.Dedupe != nil:
+				flat = AppendStreamDedupe(flat, *it.Dedupe)
+			case it.Rec.Kind == KindSet:
+				flat = AppendStreamRecord(flat, it.Rec)
+			case it.Rec.Kind == KindMPut:
+				for _, kv := range it.Rec.Pairs {
+					flat = AppendStreamRecord(flat, &Record{Kind: KindSet, Key: kv.Key, Value: kv.Value})
+				}
+			}
+		}
+		fitems, err := DecodeStream(filtered)
+		if err != nil {
+			t.Fatalf("filtered stream failed to decode: %v", err)
+		}
+		var kept []byte
+		for _, it := range fitems {
+			if it.Dedupe != nil {
+				kept = AppendStreamDedupe(kept, *it.Dedupe)
+			} else {
+				kept = AppendStreamRecord(kept, it.Rec)
+			}
+		}
+		if !bytes.Equal(kept, flat) {
+			t.Fatalf("filter kept the wrong frames:\n got %x\nwant %x", kept, flat)
 		}
 		reencode := func(items []StreamItem) []byte {
 			var re []byte

@@ -111,8 +111,17 @@ type Log struct {
 
 	done chan struct{} // closed when the commit loop exits
 
+	// snapGen names the snapshot file on disk: every WriteSnapshot bumps
+	// it, under both dumpMu and mu, in the same step as its rename and
+	// its prune. dumpMu also guards dump, the one snapshot copy a
+	// DumpChunk in its snapshot phase holds between calls.
+	dumpMu  sync.Mutex
+	snapGen uint64
+	dump    dumpState
+
 	appends          atomic.Int64
 	syncs            atomic.Int64
+	snapshots        atomic.Int64
 	scrubSegs        atomic.Int64
 	scrubErrs        atomic.Int64
 	recoveredRecords int64
@@ -274,7 +283,15 @@ func (l *Log) Begin(rec *Record) *Ticket {
 	if len(payload) > MaxRecord {
 		return failedTicket(fmt.Errorf("%w: payload of %d exceeds %d", ErrTooLarge, len(payload), MaxRecord))
 	}
-	frame := appendFrame(nil, payload)
+	return l.BeginFrame(appendFrame(nil, payload))
+}
+
+// BeginFrame is Begin for a record that arrives already framed — one
+// frame of a checked stream chunk — so it is logged as is, without
+// being decoded and re-encoded. frame must be exactly one well-formed
+// record frame; the log reads it, unmodified, until the record is
+// written.
+func (l *Log) BeginFrame(frame []byte) *Ticket {
 	t := &ticket{done: make(chan struct{})}
 	l.mu.Lock()
 	if err := l.stateErrLocked(); err != nil {
@@ -347,14 +364,24 @@ func (l *Log) stateErrLocked() error {
 // state captured after the Rotate that returned tail reflects every
 // record in it. Replaying the surviving suffix over the snapshot is a
 // sequence of overwrites in log order, so the overlap is idempotent.
+//
+// The rename, the generation bump and the in-memory prune are one step
+// to a concurrent dump: it sees either the old snapshot with the old
+// segment list or the new snapshot with the new one, and a dump cursor
+// into the old snapshot goes stale. Segment files are deleted only
+// after the rename is durable.
 func (l *Log) WriteSnapshot(tail uint64, snap *Snapshot) error {
-	if err := writeSnapshotFile(l.dir, tail, snap); err != nil {
+	if err := writeSnapshotTmp(l.dir, tail, snap); err != nil {
 		return err
 	}
-	if err := l.syncDir(); err != nil {
+	l.dumpMu.Lock()
+	if err := os.Rename(filepath.Join(l.dir, snapTmpName), filepath.Join(l.dir, snapName)); err != nil {
+		l.dumpMu.Unlock()
 		return err
 	}
+	l.dump = dumpState{}
 	l.mu.Lock()
+	l.snapGen++
 	var prune []uint64
 	keep := l.sealed[:0]
 	for _, seq := range l.sealed {
@@ -366,6 +393,11 @@ func (l *Log) WriteSnapshot(tail uint64, snap *Snapshot) error {
 	}
 	l.sealed = keep
 	l.mu.Unlock()
+	l.dumpMu.Unlock()
+	l.snapshots.Add(1)
+	if err := l.syncDir(); err != nil {
+		return err
+	}
 	for _, seq := range prune {
 		os.Remove(l.segPath(seq))
 	}
@@ -381,6 +413,7 @@ func (l *Log) Close() error {
 	l.mu.Unlock()
 	l.cond.Signal()
 	<-l.done
+	l.dropDump()
 	if already {
 		return nil
 	}
@@ -410,6 +443,7 @@ func (l *Log) Crash() error {
 	l.mu.Unlock()
 	l.cond.Signal()
 	<-l.done
+	l.dropDump()
 	if l.active != nil { // nil after a failed rotation already closed it
 		l.active.Close()
 	}
@@ -420,6 +454,9 @@ func (l *Log) Crash() error {
 // how many acked records each fsync amortized.
 func (l *Log) Appends() int64 { return l.appends.Load() }
 func (l *Log) Syncs() int64   { return l.syncs.Load() }
+
+// Snapshots counts the snapshots this log has written since Open.
+func (l *Log) Snapshots() int64 { return l.snapshots.Load() }
 
 // RecoveredRecords is how many log-tail records Open replayed (not
 // counting snapshot contents).
