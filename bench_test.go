@@ -514,54 +514,49 @@ func BenchmarkCS87_KVServerSharding(b *testing.B) {
 	}
 }
 
-// BenchmarkKVProto is the E14 wire-protocol study: the same SET/GET
-// workload through a fixed 4-connection pool on the text protocol (one
-// request per connection turn, so 64 workers queue behind 4 conns) and
-// the binary protocol (every worker's request pipelined onto one shared
-// connection, responses matched by correlation ID). The in-flight axis
-// is the point: at 1 the protocols differ only in framing cost; at 64
-// pipelining should dominate — the acceptance bar is >=2x text
-// throughput at 64 in-flight ops.
+// BenchmarkKVProto is the E14 wire-protocol study, now binary only: the
+// same SET/GET workload with every worker's request pipelined onto the
+// Pool's one shared connection, responses matched by correlation ID.
+// The in-flight axis is the point: at 1 the cost is one round trip per
+// op; at 64 pipelining and write coalescing amortize it.
 func BenchmarkKVProto(b *testing.B) {
-	for _, proto := range []sockets.Proto{sockets.ProtoText, sockets.ProtoBinary} {
-		for _, inflight := range []int{1, 8, 64} {
-			b.Run(fmt.Sprintf("%s/inflight=%d", proto, inflight), func(b *testing.B) {
-				s, err := sockets.NewServerConfig("127.0.0.1:0", sockets.ServerConfig{Shards: 16})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer s.Close()
-				p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{Size: 4, Proto: proto})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer p.Close()
-				per := b.N/inflight + 1
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for w := 0; w < inflight; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						for j := 0; j < per; j++ {
-							key := fmt.Sprintf("k%d-%d", w, j%64)
-							if j%2 == 0 {
-								if err := p.Set(key, "value-payload"); err != nil {
-									b.Error(err)
-									return
-								}
-							} else if _, _, err := p.Get(key); err != nil {
+	for _, inflight := range []int{1, 8, 64} {
+		b.Run(fmt.Sprintf("inflight=%d", inflight), func(b *testing.B) {
+			s, err := sockets.NewServerConfig("127.0.0.1:0", sockets.ServerConfig{Shards: 16})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			per := b.N/inflight + 1
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for w := 0; w < inflight; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for j := 0; j < per; j++ {
+						key := fmt.Sprintf("k%d-%d", w, j%64)
+						if j%2 == 0 {
+							if err := p.Set(key, "value-payload"); err != nil {
 								b.Error(err)
 								return
 							}
+						} else if _, _, err := p.Get(key); err != nil {
+							b.Error(err)
+							return
 						}
-					}(w)
-				}
-				wg.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(inflight*per)/b.Elapsed().Seconds(), "ops/sec")
-			})
-		}
+					}
+				}(w)
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(inflight*per)/b.Elapsed().Seconds(), "ops/sec")
+		})
 	}
 }
 

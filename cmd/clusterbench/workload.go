@@ -34,10 +34,8 @@ type workloadOpts struct {
 	cache      bool
 	lease      time.Duration
 	maxPending int
-	poolSize   int
 	nodes      int
 	replicas   int
-	proto      sockets.Proto
 	seed       int64
 	durable    bool
 	jsonPath   string
@@ -49,7 +47,6 @@ type workloadOpts struct {
 type workloadResult struct {
 	Label      string  `json:"label,omitempty"`
 	Dist       string  `json:"dist"`
-	Proto      string  `json:"proto"`
 	Cache      bool    `json:"cache"`
 	Durable    bool    `json:"durable,omitempty"`
 	Mode       string  `json:"mode"` // "closed" or "open"
@@ -89,7 +86,7 @@ func (r workloadResult) cell() string {
 	if r.Cache {
 		cacheStr = "cache"
 	}
-	return fmt.Sprintf("%s-%s-%s-%s", r.Dist, r.Proto, cacheStr, r.Mode)
+	return fmt.Sprintf("%s-%s-%s", r.Dist, cacheStr, r.Mode)
 }
 
 const workloadOpTimeout = 2 * time.Second
@@ -120,9 +117,7 @@ func runWorkload(ctx context.Context, o workloadOpts) int {
 		Replicas:          o.replicas,
 		HeartbeatInterval: 100 * time.Millisecond,
 		HeartbeatTimeout:  600 * time.Millisecond,
-		PoolSize:          o.poolSize,
 		PoolTimeout:       500 * time.Millisecond,
-		Proto:             o.proto,
 		HotKeyCache:       o.cache,
 		CacheLease:        o.lease,
 		MaxPending:        o.maxPending,
@@ -154,8 +149,8 @@ func runWorkload(ctx context.Context, o workloadOpts) int {
 	if o.qps > 0 {
 		mode = "open"
 	}
-	fmt.Printf("workload: %s keys=%d theta=%.2f readfrac=%.2f, %d workers, %s, %s loop",
-		o.dist, o.keys, o.theta, o.readFrac, o.workers, o.proto, mode)
+	fmt.Printf("workload: %s keys=%d theta=%.2f readfrac=%.2f, %d workers, %s loop",
+		o.dist, o.keys, o.theta, o.readFrac, o.workers, mode)
 	if o.qps > 0 {
 		fmt.Printf(" @ %.0f qps offered", o.qps)
 	}
@@ -241,7 +236,6 @@ func runWorkload(ctx context.Context, o workloadOpts) int {
 	res := workloadResult{
 		Label:      o.label,
 		Dist:       o.dist.String(),
-		Proto:      o.proto.String(),
 		Cache:      o.cache,
 		Durable:    o.durable,
 		Mode:       mode,

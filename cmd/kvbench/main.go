@@ -32,14 +32,7 @@ func main() {
 	clientsFlag := flag.String("clients", "1,2,4,8", "comma-separated concurrent client counts (must include 1)")
 	shards := flag.Int("shards", 16, "store shards (1 = the single-lock server)")
 	ops := flag.Int("ops", 2000, "total SET/GET pairs per run, split across clients")
-	protoFlag := flag.String("proto", "text", "wire protocol: text (one request per connection turn) or binary (pipelined PDUs)")
 	flag.Parse()
-
-	proto, err := sockets.ParseProto(*protoFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kvbench:", err)
-		os.Exit(2)
-	}
 
 	var clients []int
 	hasBaseline := false
@@ -64,13 +57,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	fmt.Printf("KV server scalability study: %d shards, %d SET/GET pairs per run, %s protocol\n\n", *shards, *ops, proto)
+	fmt.Printf("KV server scalability study: %d shards, %d SET/GET pairs per run\n\n", *shards, *ops)
 	var ms []metrics.Measurement
 	var lastHist *metrics.Histogram
 	var lastPool *metrics.CounterSet
 	interrupted := false
 	for _, nc := range clients {
-		elapsed, hist, pool, err := run(ctx, *shards, nc, *ops, proto)
+		elapsed, hist, pool, err := run(ctx, *shards, nc, *ops)
 		if err != nil {
 			if errors.Is(err, context.Canceled) {
 				interrupted = true
@@ -108,17 +101,17 @@ func main() {
 	fmt.Print(lastPool)
 }
 
-// run drives one measurement: nclients workers sharing a pool of the
-// same size, splitting ops SET/GET pairs against a fresh server. The
+// run drives one measurement: nclients workers sharing one pipelined
+// pool, splitting ops SET/GET pairs against a fresh server. The
 // context bounds every request; cancellation drains the workers at the
 // next request boundary and surfaces the wrapped ctx error.
-func run(ctx context.Context, shards, nclients, ops int, proto sockets.Proto) (time.Duration, *metrics.Histogram, *metrics.CounterSet, error) {
+func run(ctx context.Context, shards, nclients, ops int) (time.Duration, *metrics.Histogram, *metrics.CounterSet, error) {
 	s, err := sockets.NewServerConfig("127.0.0.1:0", sockets.ServerConfig{Shards: shards})
 	if err != nil {
 		return 0, nil, nil, err
 	}
 	defer s.Close()
-	p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{Size: nclients, Proto: proto})
+	p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{})
 	if err != nil {
 		return 0, nil, nil, err
 	}

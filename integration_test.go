@@ -324,7 +324,6 @@ func TestKVSubstrateFaultTolerance(t *testing.T) {
 	leakBase := testutil.SettleGoroutines()
 	s := testutil.StartKV(t, sockets.ServerConfig{Shards: 8})
 	pool, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{
-		Size:        4,
 		MaxAttempts: 4,
 		// Kill the connection on the first attempt of every third
 		// request; retry over a fresh dial must recover each one.

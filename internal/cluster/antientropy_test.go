@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/sockets"
 	"repro/internal/version"
 )
 
@@ -217,7 +216,7 @@ func TestReadRepair_RewritesStaleReplica(t *testing.T) {
 func TestAntiEntropy_MSetVRebuildBatchesPushes(t *testing.T) {
 	c, err := New(Config{
 		Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1,
-		DisableHints: true, Proto: sockets.ProtoBinary, DrainTimeout: 50 * time.Millisecond,
+		DisableHints: true, DrainTimeout: 50 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +256,7 @@ func TestAntiEntropy_MSetVFailedPushIsAnError(t *testing.T) {
 	var armed atomic.Bool
 	c, err := New(Config{
 		Nodes: 2, Replicas: 2, WriteQuorum: 2, ReadQuorum: 1,
-		DisableHints: true, Proto: sockets.ProtoBinary, DrainTimeout: 50 * time.Millisecond,
+		DisableHints: true, DrainTimeout: 50 * time.Millisecond,
 		PoolPreAttempt: func(name string) func(string, int) {
 			return func(req string, _ int) {
 				// Kill the destination just as the repair push leaves.

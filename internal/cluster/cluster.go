@@ -63,15 +63,13 @@ type Config struct {
 	// Workers sizes the sched.Pool that fans out key migration on
 	// join/leave (default: runtime.NumCPU()).
 	Workers int
-	// PoolSize, PoolTimeout, and PoolAttempts parameterize each node's
-	// sockets.Pool client (defaults 2 connections, 500ms, 2 attempts).
-	PoolSize     int
+	// PoolTimeout and PoolAttempts parameterize each node's sockets.Pool
+	// client (defaults 500ms and 2 attempts).
 	PoolTimeout  time.Duration
 	PoolAttempts int
-	// Proto selects the inter-node client protocol: sockets.ProtoText
-	// (the zero value, line-oriented) or sockets.ProtoBinary (pipelined
-	// PDUs with batched MGET/MPUT for migration and hint replay).
-	// Servers always speak both; this only switches what the pools dial.
+	// Deprecated: ignored; the Pool speaks only the binary protocol.
+	PoolSize int
+	// Deprecated: ignored; the Pool speaks only the binary protocol.
 	Proto sockets.Proto
 	// ServerShards is each node's store-stripe count (default 8).
 	ServerShards int
@@ -144,7 +142,7 @@ type Config struct {
 	// loss) is where per-key scans are slowest and streaming shines;
 	// light divergence stays on the Merkle path, which moves only the
 	// keys that differ. 0 means the 0.25 default; negative disables
-	// streaming. Streaming needs Durable and the binary protocol.
+	// streaming. Streaming needs Durable.
 	SyncStreamThreshold float64
 	// HintTTL bounds how long a hinted handoff stays parked before the
 	// age sweep drops it (counted in hints.expired) — the cap on hint~
@@ -405,9 +403,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.HeartbeatTimeout <= 0 {
 		cfg.HeartbeatTimeout = 250 * time.Millisecond
 	}
-	if cfg.PoolSize <= 0 {
-		cfg.PoolSize = 2
-	}
 	if cfg.PoolTimeout <= 0 {
 		cfg.PoolTimeout = 500 * time.Millisecond
 	}
@@ -536,10 +531,8 @@ func (c *Cluster) startNode(name string) (*node, error) {
 
 func (c *Cluster) poolConfig(name string) sockets.PoolConfig {
 	pcfg := sockets.PoolConfig{
-		Size:        c.cfg.PoolSize,
 		MaxAttempts: c.cfg.PoolAttempts,
 		Timeout:     c.cfg.PoolTimeout,
-		Proto:       c.cfg.Proto,
 	}
 	if c.cfg.PoolFailConn != nil {
 		pcfg.FailConn = c.cfg.PoolFailConn(name)

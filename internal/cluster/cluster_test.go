@@ -356,14 +356,13 @@ func TestClusterClosedOps(t *testing.T) {
 
 // TestClusterBinaryProto runs the topology lifecycle — replicated
 // writes, a dead replica parking hints, restart replaying them (a
-// batched MGET sweep), and a join migrating arcs (batched MPUTs) —
-// with every inter-node pool speaking the binary protocol. Servers
-// negotiate per connection, so heartbeat probes (still text) coexist
-// with the binary request pools on the same listeners.
+// batched MGET sweep), and a join migrating arcs (batched MPUTs) — on
+// the binary protocol the inter-node pools speak. Servers negotiate per
+// connection, so heartbeat probes (still text) coexist with the binary
+// request pools on the same listeners.
 func TestClusterBinaryProto(t *testing.T) {
 	cfg := testConfig(4)
 	cfg.Replicas = 3
-	cfg.Proto = sockets.ProtoBinary
 	c := startCluster(t, cfg)
 
 	const keys = 120

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/merkle"
-	"repro/internal/sockets"
 	"repro/internal/sockets/wire"
 )
 
@@ -22,7 +21,7 @@ import (
 func TestSyncWAL_StreamingRereplication(t *testing.T) {
 	c, err := New(Config{
 		Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1,
-		Durable: true, Proto: sockets.ProtoBinary, DisableHints: true,
+		Durable: true, DisableHints: true,
 		WALSegmentBytes:     4096, // several sealed segments, so the dump walks a real chain
 		SyncStreamThreshold: 0.01,
 		DrainTimeout:        50 * time.Millisecond,
@@ -103,13 +102,71 @@ func TestSyncWAL_StreamingRereplication(t *testing.T) {
 	}
 }
 
+// TestSyncWAL_DefaultConfigStreams: a durable cluster with every
+// transport and threshold setting left at its default rebuilds a wiped
+// node by streaming. Only the durability switch is needed to opt in.
+func TestSyncWAL_DefaultConfigStreams(t *testing.T) {
+	c, err := New(Config{
+		Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1,
+		Durable: true, DisableHints: true,
+		DrainTimeout: 50 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Enough keys that a wiped replica differs in well over the default
+	// 25% of Merkle buckets (2000 keys fill ~39% of 4096).
+	const keys, writers = 2000, 8
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < keys; i += writers {
+				if err := c.Put(fmt.Sprintf("key-%d", i), fmt.Sprintf("val-%d", i)); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+
+	if err := c.Kill("node1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WipeWAL("node1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart("node1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SyncNow(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if c.AntiEntropyStreams() < 1 {
+		t.Fatal("antientropy.streams = 0: a default durable cluster rebuilt a wiped node without streaming")
+	}
+	n1, _ := c.lookup("node1")
+	if got, err := n1.client().Count(); err != nil || got != keys {
+		t.Fatalf("rebuilt node holds %d keys (err %v), want %d", got, err, keys)
+	}
+}
+
 // TestSyncWAL_StreamingRequiresOptIn checks the gates: light divergence
-// (below threshold), a disabled threshold, or a text-protocol cluster
-// must all stay on the Merkle span-repair path.
+// (below threshold) or a disabled threshold must stay on the Merkle
+// span-repair path.
 func TestSyncWAL_StreamingRequiresOptIn(t *testing.T) {
 	c, err := New(Config{
 		Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1,
-		Durable: true, Proto: sockets.ProtoBinary, DisableHints: true,
+		Durable: true, DisableHints: true,
 		SyncStreamThreshold: -1, // explicitly disabled
 		DrainTimeout:        50 * time.Millisecond,
 	})
@@ -203,7 +260,7 @@ func TestMigrationBatching_ReadAmplification(t *testing.T) {
 	moved := -1
 	c, err := New(Config{
 		Nodes: 3, Replicas: 3, WriteQuorum: 3, ReadQuorum: 1,
-		Proto: sockets.ProtoBinary, DisableHints: true,
+		DisableHints: true,
 		EventTap: func(e Event) {
 			if e.Type == EventJoin {
 				mu.Lock()

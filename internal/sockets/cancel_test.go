@@ -9,11 +9,11 @@ import (
 )
 
 // TestPoolGetCtxExpiredDeadlineFailsFast: a context whose deadline has
-// already passed must be rejected before any borrow or dial — the
+// already passed must be rejected before any dial or write — the
 // request never reaches the wire.
 func TestPoolGetCtxExpiredDeadlineFailsFast(t *testing.T) {
 	s := startServer(t)
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 1})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,6 @@ func TestPoolGetCtxExpiredDeadlineFailsFast(t *testing.T) {
 func TestPoolBackoffCancelPrompt(t *testing.T) {
 	s := startServer(t)
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        1,
 		MaxAttempts: 3,
 		// A backoff far longer than the test's cancel point: if the
 		// wait is not cancelable, the request takes >2s.
@@ -135,7 +134,7 @@ func TestPoolCtxDeadlineTightensAttempt(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 1, MaxAttempts: 1, Timeout: 5 * time.Second})
+	p, err := NewPool(s.Addr(), PoolConfig{MaxAttempts: 1, Timeout: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

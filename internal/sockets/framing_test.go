@@ -134,7 +134,7 @@ func TestFramingEmbeddedCRLF(t *testing.T) {
 	}
 
 	// The binary protocol lifts the restriction entirely.
-	p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{Proto: sockets.ProtoBinary})
+	p, err := sockets.NewPool(s.Addr(), sockets.PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,6 +225,10 @@ func TestFramingMalformedCommandsConnectionSurvives(t *testing.T) {
 		"GET",
 		"GET too many args",
 		"MDEL",
+		// The replication verbs exist only in the binary protocol.
+		"SETV k v",
+		"TREE 0-1",
+		"SCAN 0-1",
 		"set lower case works? SplitN says the verb is \"set\"",
 	} {
 		resp := roundTrip(t, conn, bad)

@@ -41,7 +41,7 @@ func TestMetrics_CountedBeforeReply(t *testing.T) {
 
 	t.Run("binary", func(t *testing.T) {
 		s := startServer(t)
-		p, err := NewPool(s.Addr(), PoolConfig{Proto: ProtoBinary})
+		p, err := NewPool(s.Addr(), PoolConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}

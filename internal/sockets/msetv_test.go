@@ -24,7 +24,7 @@ func binaryServer(t *testing.T, cfg ServerConfig) (*Server, *Pool) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	p, err := NewPool(s.Addr(), PoolConfig{Proto: ProtoBinary})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,12 +55,11 @@ type pipeFuture struct {
 	ch  chan pipeResult
 }
 
-// pipe is the pipelining round-tripper behind a binary-protocol Pool:
-// one shared connection, a writer side serialized by writeMu, and a
-// reader goroutine that settles response futures by correlation ID —
-// so responses return in whatever order the server finishes them and
-// one connection carries any number of in-flight operations. It
-// replaces the text path's checkout-per-request entirely.
+// pipe is the pipelining round-tripper behind a Pool: one shared
+// connection, a writer side serialized by the coalescing frameWriter,
+// and a reader goroutine that settles response futures by correlation
+// ID — so responses return in whatever order the server finishes them
+// and one connection carries any number of in-flight operations.
 type pipe struct {
 	p        *Pool
 	clientID uint64
@@ -171,7 +170,7 @@ func (pp *pipe) fail(conn net.Conn, fw *frameWriter, gen uint64, err error) {
 }
 
 // shutdown closes the live connection; its readLoop then fails the
-// in-flight futures with the connection error, which doCtx's closed
+// in-flight futures with the connection error, which Pool.do's closed
 // check converts to ErrPoolClosed for new requests.
 func (pp *pipe) shutdown() {
 	pp.mu.Lock()
@@ -200,66 +199,6 @@ func (pp *pipe) unregister(id uint64, f *pipeFuture) {
 		delete(pp.pending, id)
 	}
 	pp.mu.Unlock()
-}
-
-// binDo runs one PDU through the pipelined transport under the same
-// borrow-free retry/deadline/cancellation contract as the text path's
-// doCtx. The correlation ID is assigned once per logical request and
-// reused across retries — that reuse is what lets the server dedupe a
-// retried mutation whose first response was lost in transit.
-func (p *Pool) binDo(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	if p.closed.Load() {
-		return nil, ErrPoolClosed
-	}
-	if err := ctx.Err(); err != nil {
-		p.canceledSeen.Add(1)
-		return nil, fmt.Errorf("sockets: request aborted before first attempt: %w", err)
-	}
-	p.reqSeen.Add(1)
-	req.ID = uint64(p.reqSeq.Add(1))
-	enc := wire.AppendRequest(make([]byte, 0, 64), req)
-	var lastErr error
-	shed := false
-	for attempt := 1; attempt <= p.cfg.MaxAttempts; attempt++ {
-		if attempt > 1 {
-			p.retrySeen.Add(1)
-			if err := p.backoff(ctx, backoffStep(attempt, shed)); err != nil {
-				p.canceledSeen.Add(1)
-				return nil, fmt.Errorf("sockets: request canceled in retry backoff after %d attempts: %w", attempt-1, err)
-			}
-		}
-		p.attemptSeen.Add(1)
-		resp, err := p.pipe.try(ctx, req, enc, attempt)
-		if err == nil {
-			if resp.Tag != wire.RespOverload {
-				return resp, nil
-			}
-			// Shed at admission. The pipelined connection stays up — the
-			// server answered, it just refused the work — so take the
-			// stiffened backoff rung and retry on the same conn. The
-			// reused correlation ID is safe: a shed attempt never touched
-			// the dedupe table.
-			p.errSeen.Add(1)
-			p.overloadSeen.Add(1)
-			lastErr = ErrOverload
-			shed = true
-			if cerr := ctx.Err(); cerr != nil {
-				p.canceledSeen.Add(1)
-				return nil, fmt.Errorf("sockets: request canceled after %d attempts: %w", attempt, cerr)
-			}
-			continue
-		}
-		p.errSeen.Add(1)
-		lastErr = err
-		if cerr := ctx.Err(); cerr != nil {
-			p.canceledSeen.Add(1)
-			return nil, fmt.Errorf("sockets: request canceled after %d attempts: %w", attempt, cerr)
-		}
-		if p.closed.Load() {
-			return nil, ErrPoolClosed
-		}
-	}
-	return nil, fmt.Errorf("sockets: request failed after %d attempts: %w", p.cfg.MaxAttempts, lastErr)
 }
 
 // try performs one pipelined attempt: ensure the shared conn, register
@@ -324,9 +263,9 @@ var (
 	errPipeStalled    = errors.New("sockets: pipelined connection stalled")
 )
 
-// wrapCtxTimeout mirrors the text path's deadline attribution: when the
-// ctx deadline set the attempt budget, an I/O timeout IS the ctx
-// deadline expiring.
+// wrapCtxTimeout attributes an attempt's failure to the caller's
+// context: when the ctx deadline set the attempt budget, an I/O timeout
+// IS the ctx deadline expiring.
 func wrapCtxTimeout(ctx context.Context, ctxBounded bool, err error) error {
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("sockets: request interrupted: %w", cerr)
@@ -337,230 +276,3 @@ func wrapCtxTimeout(ctx context.Context, ctxBounded bool, err error) error {
 	}
 	return err
 }
-
-// --- binary op implementations (the typed layer over binDo) ---
-
-// binErr converts a RespErr into the same ErrServer-wrapped error the
-// text parsers produce, so callers are protocol-agnostic.
-func binErr(resp *wire.Response) error {
-	if resp.Tag == wire.RespErr {
-		return fmt.Errorf("%w: %s", ErrServer, resp.Err)
-	}
-	return fmt.Errorf("%w: unexpected response tag 0x%02x", ErrServer, resp.Tag)
-}
-
-func (p *Pool) binPing(ctx context.Context) error {
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbPing})
-	if err != nil {
-		return err
-	}
-	if resp.Tag != wire.RespOK {
-		return binErr(resp)
-	}
-	return nil
-}
-
-func (p *Pool) binSet(ctx context.Context, key, value string) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbSet, Key: key, Value: []byte(value)})
-	if err != nil {
-		return err
-	}
-	if resp.Tag != wire.RespOK {
-		return binErr(resp)
-	}
-	return nil
-}
-
-func (p *Pool) binGet(ctx context.Context, key string) (string, bool, error) {
-	if err := validateKey(key); err != nil {
-		return "", false, err
-	}
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbGet, Key: key})
-	if err != nil {
-		return "", false, err
-	}
-	switch resp.Tag {
-	case wire.RespValue:
-		return string(resp.Value), true, nil
-	case wire.RespNotFound:
-		return "", false, nil
-	}
-	return "", false, binErr(resp)
-}
-
-func (p *Pool) binDel(ctx context.Context, key string) (bool, error) {
-	if err := validateKey(key); err != nil {
-		return false, err
-	}
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbDel, Key: key})
-	if err != nil {
-		return false, err
-	}
-	switch resp.Tag {
-	case wire.RespOK:
-		return true, nil
-	case wire.RespNotFound:
-		return false, nil
-	}
-	return false, binErr(resp)
-}
-
-func (p *Pool) binCount(ctx context.Context) (int, error) {
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbCount})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Tag != wire.RespCount {
-		return 0, binErr(resp)
-	}
-	return int(resp.N), nil
-}
-
-func (p *Pool) binKeys(ctx context.Context) ([]string, error) {
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbKeys})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag != wire.RespKeys {
-		return nil, binErr(resp)
-	}
-	return resp.Keys, nil
-}
-
-func (p *Pool) binMDel(ctx context.Context, keys []string) (int, error) {
-	deleted := 0
-	for _, chunk := range chunkKeys(keys) {
-		resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbMDel, Keys: chunk})
-		if err != nil {
-			return deleted, err
-		}
-		if resp.Tag != wire.RespCount {
-			return deleted, binErr(resp)
-		}
-		deleted += int(resp.N)
-	}
-	return deleted, nil
-}
-
-func (p *Pool) binMGet(ctx context.Context, keys []string) ([]string, []bool, error) {
-	values := make([]string, 0, len(keys))
-	found := make([]bool, 0, len(keys))
-	for _, chunk := range chunkKeys(keys) {
-		resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbMGet, Keys: chunk})
-		if err != nil {
-			return nil, nil, err
-		}
-		if resp.Tag != wire.RespMulti || len(resp.Values) != len(chunk) {
-			return nil, nil, binErr(resp)
-		}
-		for i := range chunk {
-			values = append(values, string(resp.Values[i]))
-			found = append(found, resp.Found[i])
-		}
-	}
-	return values, found, nil
-}
-
-func (p *Pool) binMPut(ctx context.Context, pairs []wire.KV) error {
-	for _, chunk := range chunkPairs(pairs) {
-		resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbMPut, Pairs: chunk})
-		if err != nil {
-			return err
-		}
-		if resp.Tag != wire.RespCount {
-			return binErr(resp)
-		}
-	}
-	return nil
-}
-
-func (p *Pool) binSetV(ctx context.Context, key, value string) (uint64, error) {
-	if err := validateKey(key); err != nil {
-		return 0, err
-	}
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbSetV, Key: key, Value: []byte(value)})
-	if err != nil {
-		return 0, err
-	}
-	if resp.Tag != wire.RespCount {
-		return 0, binErr(resp)
-	}
-	return resp.N, nil
-}
-
-func (p *Pool) binMSetV(ctx context.Context, pairs []wire.KV) ([]uint64, error) {
-	codes := make([]uint64, 0, len(pairs))
-	for _, chunk := range chunkPairs(pairs) {
-		resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbMSetV, Pairs: chunk})
-		if err != nil {
-			return codes, err
-		}
-		if resp.Tag != wire.RespCodes || len(resp.Codes) != len(chunk) {
-			return codes, binErr(resp)
-		}
-		codes = append(codes, resp.Codes...)
-	}
-	return codes, nil
-}
-
-func (p *Pool) binTree(ctx context.Context, spans []wire.Span) ([]uint64, error) {
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbTree, Spans: spans})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag != wire.RespHashes || len(resp.Hashes) != len(spans) {
-		return nil, binErr(resp)
-	}
-	return resp.Hashes, nil
-}
-
-func (p *Pool) binScan(ctx context.Context, spans []wire.Span) ([]wire.ScanEntry, error) {
-	resp, err := p.binDo(ctx, &wire.Request{Verb: wire.VerbScan, Spans: spans})
-	if err != nil {
-		return nil, err
-	}
-	if resp.Tag != wire.RespScan {
-		return nil, binErr(resp)
-	}
-	return resp.Scan, nil
-}
-
-// chunkKeys splits a key list so each batch PDU stays well under the
-// frame limit (same budget as the text path's MDEL chunking).
-func chunkKeys(keys []string) [][]string {
-	var out [][]string
-	for len(keys) > 0 {
-		n, bytes := 0, 0
-		for n < len(keys) && (n == 0 || bytes+len(keys[n])+10 <= mdelChunkBytes) {
-			bytes += len(keys[n]) + 10
-			n++
-		}
-		out = append(out, keys[:n])
-		keys = keys[n:]
-	}
-	return out
-}
-
-// chunkPairs splits an MPUT or MSETV batch by payload bytes, keys and
-// values both counted.
-func chunkPairs(pairs []wire.KV) [][]wire.KV {
-	var out [][]wire.KV
-	for len(pairs) > 0 {
-		n, bytes := 0, 0
-		for n < len(pairs) && (n == 0 || bytes+len(pairs[n].Key)+len(pairs[n].Value)+20 <= mputChunkBytes) {
-			bytes += len(pairs[n].Key) + len(pairs[n].Value) + 20
-			n++
-		}
-		out = append(out, pairs[:n])
-		pairs = pairs[n:]
-	}
-	return out
-}
-
-// mputChunkBytes bounds one MPUT request's payload; values can be big,
-// so the budget is larger than the key-only chunks but still far under
-// MaxFrame.
-const mputChunkBytes = 256 << 10

@@ -12,7 +12,7 @@ import (
 
 func TestPoolBasics(t *testing.T) {
 	s := startServer(t)
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 2})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestPoolBasics(t *testing.T) {
 
 func TestPoolConcurrent(t *testing.T) {
 	s := startServer(t)
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 4})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,6 @@ func TestPoolRetriesThroughInjectedFaults(t *testing.T) {
 	// Kill the connection on the first attempt of every request: each
 	// request must succeed on attempt 2 over a fresh dial.
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        2,
 		MaxAttempts: 3,
 		BackoffBase: time.Millisecond,
 		FailConn:    func(req, attempt int) bool { return attempt == 1 },
@@ -118,7 +117,6 @@ func TestPoolRetriesThroughInjectedFaults(t *testing.T) {
 func TestPoolExhaustsRetryBudget(t *testing.T) {
 	s := startServer(t)
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        1,
 		MaxAttempts: 2,
 		BackoffBase: time.Millisecond,
 		FailConn:    func(req, attempt int) bool { return true }, // every attempt dies
@@ -144,7 +142,6 @@ func TestPoolDeadline(t *testing.T) {
 	defer s.Close()
 	s.preHandle = func(string) { time.Sleep(300 * time.Millisecond) }
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        1,
 		MaxAttempts: 2,
 		Timeout:     50 * time.Millisecond,
 		BackoffBase: time.Millisecond,
@@ -164,7 +161,7 @@ func TestPoolDeadline(t *testing.T) {
 
 func TestPoolClosed(t *testing.T) {
 	s := startServer(t)
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 2})
+	p, err := NewPool(s.Addr(), PoolConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +187,6 @@ func TestPoolCounterSet(t *testing.T) {
 	// One injected kill on the first attempt of every request: each
 	// request costs 2 attempts, 1 retry, 1 failed attempt, 1 injection.
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        2,
 		MaxAttempts: 3,
 		BackoffBase: time.Millisecond,
 		FailConn:    func(req, attempt int) bool { return attempt == 1 },
@@ -234,7 +230,6 @@ func TestPoolPreAttemptHook(t *testing.T) {
 	var seen []string
 	var attempts []int
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        1,
 		MaxAttempts: 3,
 		BackoffBase: time.Millisecond,
 		// Kill the first attempt of every request so the hook is seen
@@ -267,7 +262,6 @@ func TestPoolPreAttemptHook(t *testing.T) {
 func TestPoolPreAttemptLatencyEatsCtxBudget(t *testing.T) {
 	s := startServer(t)
 	p, err := NewPool(s.Addr(), PoolConfig{
-		Size:        1,
 		MaxAttempts: 1,
 		Timeout:     2 * time.Second,
 		// A spike longer than the caller's deadline: the attempt must
@@ -337,7 +331,7 @@ func TestPoolZeroTimeoutCancel(t *testing.T) {
 	}
 	defer once.Do(func() { close(release) })
 
-	p, err := NewPool(s.Addr(), PoolConfig{Size: 1, MaxAttempts: 1})
+	p, err := NewPool(s.Addr(), PoolConfig{MaxAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

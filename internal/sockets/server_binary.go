@@ -58,9 +58,9 @@ type dedupeEntry struct {
 // MPUT) exactly-once on the server: the first arrival of a (client,
 // correlation ID) pair applies the op and records the encoded response;
 // any later arrival — the Pool retries with the same ID after an
-// ambiguous transport failure — replays the recording. The text
-// protocol has no correlation IDs and keeps its at-least-once
-// ambiguity; DESIGN.md documents the limitation. Stripes are locked
+// ambiguous transport failure — replays the recording. The lab
+// Client's text protocol has no correlation IDs, and the Client never
+// retries. Stripes are locked
 // independently; a (client, id) pair always hashes to the same stripe,
 // so the exactly-once argument is per-stripe and unchanged.
 //

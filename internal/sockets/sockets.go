@@ -9,9 +9,13 @@
 // its own readers-writer lock (keyed by the same FNV-1a hash as
 // mapreduce.Partition), Close drains in-flight requests before hard-
 // closing connections, and per-server counters plus a latency histogram
-// (metrics.Histogram) make throughput studies measurable. Pool adds a
-// production-shaped client: a fixed-size connection pool with
-// per-request deadlines and bounded, jittered retry.
+// (metrics.Histogram) make throughput studies measurable. The server
+// speaks two protocols on the same store: the lab's line-oriented text
+// protocol, served to the single-connection Client, and the pipelined
+// binary protocol (internal/sockets/wire), the only one Pool speaks.
+// Pool is the production-shaped client: one shared connection carrying
+// many in-flight requests, with per-request deadlines and bounded,
+// jittered retry that the server dedupes by correlation ID.
 package sockets
 
 import (
@@ -517,9 +521,10 @@ func textVerb(req string) string {
 //	MDEL k1 k2 ...   -> "DELETED <n>" (n = how many existed; missing keys ignored)
 //	COUNT            -> "COUNT <n>"
 //	KEYS             -> "KEYS <k1> <k2> ..." (sorted; bare "KEYS" when empty)
-//	SETV key value   -> "SETV <code>" (version-conditional set; see the SetV* outcome codes)
-//	TREE lo-hi ...   -> "HASHES <h> ..." (one 16-hex-digit Merkle range hash per span)
-//	SCAN lo-hi ...   -> "SCAN <key> <h> ..." (key + entry hash per stored key in the spans)
+//
+// The replication verbs (SETV, MSETV, TREE, SCAN, SYNCWAL) and the
+// batch reads and writes (MGET, MPUT) exist only in the binary protocol;
+// see server_binary.go.
 func (s *Server) handle(req string) string {
 	parts := strings.SplitN(req, " ", 3)
 	switch strings.ToUpper(parts[0]) {
@@ -592,39 +597,6 @@ func (s *Server) handle(req string) string {
 			return "ERR durability: " + err.Error()
 		}
 		return fmt.Sprintf("DELETED %d", resp.N)
-	case "SETV":
-		if len(parts) != 3 {
-			return "ERR usage: SETV key value"
-		}
-		if validateTextValue(parts[2]) != nil {
-			return "ERR value must not contain CR or LF (use the binary protocol for opaque bytes)"
-		}
-		codes, err := s.applySetV([]wire.KV{{Key: parts[1], Value: []byte(parts[2])}})
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		return fmt.Sprintf("SETV %d", codes[0])
-	case "TREE", "SCAN":
-		spans, err := parseTextSpans(strings.Fields(req)[1:])
-		if err != nil {
-			return "ERR " + err.Error()
-		}
-		if strings.ToUpper(parts[0]) == "TREE" {
-			resp := s.applyTree(&wire.Request{Verb: wire.VerbTree, Spans: spans})
-			out := make([]string, 0, len(resp.Hashes)+1)
-			out = append(out, "HASHES")
-			for _, h := range resp.Hashes {
-				out = append(out, fmt.Sprintf("%016x", h))
-			}
-			return strings.Join(out, " ")
-		}
-		resp := s.applyScan(&wire.Request{Verb: wire.VerbScan, Spans: spans})
-		out := make([]string, 0, 2*len(resp.Scan)+1)
-		out = append(out, "SCAN")
-		for _, e := range resp.Scan {
-			out = append(out, e.Key, fmt.Sprintf("%016x", e.Hash))
-		}
-		return strings.Join(out, " ")
 	case "COUNT":
 		// Shards are read-locked one at a time, so the count is a
 		// point-in-time sum per stripe, not an atomic global snapshot.
@@ -673,10 +645,9 @@ var ErrBadKey = errors.New("sockets: key must be non-empty and contain no whites
 // ErrBadValue rejects values the line-oriented text protocol cannot
 // carry: CR or LF would let one request masquerade as protocol text in
 // logs, multi-line tooling, and any consumer that treats the payload as
-// lines — and historically desynchronized line-based readers. The
-// binary protocol has no such restriction (values are length-prefixed
-// opaque bytes); use PoolConfig.Proto = ProtoBinary to store arbitrary
-// payloads.
+// lines — and historically desynchronized line-based readers. It applies
+// only to the text Client; the Pool's binary protocol carries values as
+// length-prefixed opaque bytes.
 var ErrBadValue = errors.New("sockets: text-protocol value must not contain CR or LF (use the binary protocol for opaque bytes)")
 
 func validateKey(key string) error {
@@ -697,8 +668,8 @@ func validateTextValue(value string) error {
 	return nil
 }
 
-// roundTripper issues one request and returns the raw response; Client
-// and Pool both satisfy it, sharing the command parsers below.
+// roundTripper issues one text request and returns the raw response;
+// the Client's methods drive the command parsers below through it.
 type roundTripper func(req string) (string, error)
 
 func doPing(rt roundTripper) error {

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	aggregate -in raw.jsonl -out bench/BENCH_2026-08-07.json -date 2026-08-07
-//	aggregate -in raw.jsonl -capacity zipfian-binary-nocache-closed
+//	aggregate -in raw.jsonl -capacity zipfian-nocache-closed
 //	aggregate -in raw.jsonl -base bench/BENCH_old.json -out bench/BENCH_new.json
 //
 // The -capacity mode prints the cell's mean goodput as a bare integer —
@@ -29,7 +29,6 @@ import (
 type rawRun struct {
 	Label      string  `json:"label"`
 	Dist       string  `json:"dist"`
-	Proto      string  `json:"proto"`
 	Cache      bool    `json:"cache"`
 	Durable    bool    `json:"durable"`
 	Mode       string  `json:"mode"`
@@ -76,7 +75,7 @@ func (r rawRun) cell() string {
 	if r.Cache {
 		cache = "cache"
 	}
-	return fmt.Sprintf("%s-%s-%s-%s", r.Dist, r.Proto, cache, r.Mode)
+	return fmt.Sprintf("%s-%s-%s", r.Dist, cache, r.Mode)
 }
 
 // stat is one metric reduced over a cell's repeats.
@@ -111,7 +110,6 @@ type cellSummary struct {
 	Cell       string  `json:"cell"`
 	Runs       int     `json:"runs"`
 	Dist       string  `json:"dist"`
-	Proto      string  `json:"proto"`
 	Cache      bool    `json:"cache"`
 	Durable    bool    `json:"durable,omitempty"`
 	Mode       string  `json:"mode"`
@@ -223,7 +221,7 @@ func main() {
 		first := runs[0]
 		cs := cellSummary{
 			Cell: c, Runs: len(runs),
-			Dist: first.Dist, Proto: first.Proto, Cache: first.Cache, Durable: first.Durable, Mode: first.Mode,
+			Dist: first.Dist, Cache: first.Cache, Durable: first.Durable, Mode: first.Mode,
 			OfferedQPS: first.OfferedQPS, Theta: first.Theta, Keys: first.Keys,
 			Workers: first.Workers, ReadFrac: first.ReadFrac, ValueSize: first.ValueSize,
 			MaxPending: first.MaxPending,
